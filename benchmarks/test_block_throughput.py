@@ -13,10 +13,12 @@ Both timed engines run with ``live_update_every=0``: offline consumers
 honest offline-replay configuration — it changes no event any offline
 caller observes.
 
-The gate: ``feed_block`` at the offline block size must replay a long
-idle-dominated session at >= 10x the frames/sec of the scalar loop.
-Wall-clock and frames/sec for both paths land in the benchmark JSON via
-``benchmark.extra_info``, mirroring ``test_campaign_throughput.py``.
+The gates: ``feed_block`` at the offline block size must replay a long
+idle-dominated session at >= 10x the frames/sec of the scalar loop, and
+at the 10-frame serving batch it must cost no more CPU per frame than
+scalar ``feed`` on the same session.  Wall-clock and frames/sec for both
+paths land in the benchmark JSON via ``benchmark.extra_info``, mirroring
+``test_campaign_throughput.py``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 from repro.acquisition.stream import stream_frames
 from repro.core.pipeline import AirFinger
 from repro.datasets import CampaignConfig, CampaignGenerator
+from repro.obs import MetricsRegistry
 
 from conftest import print_header
 
@@ -47,6 +50,19 @@ STREAM_GESTURES = ("circle", "click", "rub")
 STREAM_IDLE_S = 60.0
 STREAM_LEAD_IN_S = 30.0
 STREAM_SEED = 902
+# The serving batch: the loadgen and the fleet workloads send 10 frames
+# per message, and SessionManager hands each drained batch to feed_block.
+SERVE_BATCH = 10
+SERVE_RATIO_TARGET = 1.0
+SERVE_ROUNDS = 3
+
+
+def _idle_session():
+    generator = CampaignGenerator(CampaignConfig(
+        n_users=1, n_sessions=1, repetitions=1, seed=STREAM_SEED))
+    return generator.stream(
+        0, list(STREAM_GESTURES), idle_s=STREAM_IDLE_S,
+        lead_in_s=STREAM_LEAD_IN_S).recording
 
 
 def _offline_engine() -> AirFinger:
@@ -76,11 +92,7 @@ def test_block_throughput(benchmark, bench_report):
         "stream replay dominates every robustness sweep and stream "
         "evaluation; block mode must clear >= 10x the scalar loop")
 
-    generator = CampaignGenerator(CampaignConfig(
-        n_users=1, n_sessions=1, repetitions=1, seed=STREAM_SEED))
-    recording = generator.stream(
-        0, list(STREAM_GESTURES), idle_s=STREAM_IDLE_S,
-        lead_in_s=STREAM_LEAD_IN_S).recording
+    recording = _idle_session()
     frames = list(stream_frames(recording))
     n = len(frames)
 
@@ -129,3 +141,54 @@ def test_block_throughput(benchmark, bench_report):
 
     assert speedup >= SPEEDUP_TARGET, (
         f"block path {speedup:.2f}x < {SPEEDUP_TARGET}x target")
+
+
+def _cpu_run(feed, items) -> tuple[float, list]:
+    """CPU seconds of one pass of *feed* over *items*, plus its events."""
+    events: list = []
+    t0 = time.process_time()
+    for item in items:
+        events.extend(feed(item))
+    return time.process_time() - t0, events
+
+
+def test_serve_batch_beats_scalar(bench_report):
+    print_header(
+        "Serve-batch cost — feed_block at 10-frame blocks vs scalar feed",
+        "every served message drains through feed_block in ~10-frame "
+        "batches; that must cost no more per frame than per-frame feed")
+
+    frames = list(stream_frames(_idle_session()))
+    batches = [frames[i:i + SERVE_BATCH]
+               for i in range(0, len(frames), SERVE_BATCH)]
+    n = len(frames)
+
+    # a serving engine: live updates on, its own registry
+    scalar_s = block_s = float("inf")
+    for _ in range(SERVE_ROUNDS):
+        # interleaved, so a busy stretch of the host hits both sides
+        t, scalar_events = _cpu_run(
+            AirFinger(metrics=MetricsRegistry()).feed, frames)
+        scalar_s = min(scalar_s, t)
+        t, block_events = _cpu_run(
+            AirFinger(metrics=MetricsRegistry()).feed_block, batches)
+        block_s = min(block_s, t)
+    assert ([repr(e) for e in block_events]
+            == [repr(e) for e in scalar_events])
+
+    ratio = scalar_s / block_s
+    scale = {"n_frames": n, "block_size": SERVE_BATCH}
+    bench_report.record("block", "idle_stream_serve_batch",
+                        "speedup_block10_vs_scalar", ratio, unit="x",
+                        scale=scale)
+
+    print(f"\nstream: {n} frames, {SERVE_BATCH}-frame blocks, "
+          f"least CPU of {SERVE_ROUNDS} interleaved rounds")
+    print(f"{'mode':<26} {'us/frame':>9}")
+    print(f"{'scalar (per-frame feed)':<26} {scalar_s / n * 1e6:>9.2f}")
+    print(f"{f'block (bs={SERVE_BATCH})':<26} {block_s / n * 1e6:>9.2f}")
+    print(f"speedup_block10_vs_scalar  {ratio:.2f}x")
+
+    assert ratio >= SERVE_RATIO_TARGET, (
+        f"feed_block({SERVE_BATCH}) costs {1 / ratio:.2f}x the scalar "
+        f"loop per frame (gate: <= {1 / SERVE_RATIO_TARGET:.2f}x)")

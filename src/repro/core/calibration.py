@@ -19,7 +19,6 @@ collect whenever the segmenter has been quiet for a few seconds.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,12 +240,19 @@ class ChannelGuard:
         self.max_high_rail = max_high_rail
         self.max_flat_fraction = max_flat_fraction
         self.recovery_checks = recovery_checks
-        self._buffers: list[deque[float]] = [
-            deque(maxlen=window) for _ in range(n_channels)]
+        # the raw window is one (window, n_channels) ring; once full, row
+        # `_ring_pos` is both the oldest sample and the next to overwrite
+        self._ring = np.zeros((window, n_channels), dtype=np.float64)
+        self._ring_pos = 0
+        self._ring_len = 0
         self._masked = [False] * n_channels
         self._reasons = [""] * n_channels
         self._healthy_streak = [0] * n_channels
         self._hold = [0.0] * n_channels
+        # block mode's newest healthy window per channel whose median (the
+        # new hold level) nobody has asked for yet: holds are only read at
+        # a masking transition, so the median is taken then, not per check
+        self._hold_window: list[np.ndarray | None] = [None] * n_channels
         self._since_check = 0
 
     @property
@@ -261,11 +267,51 @@ class ChannelGuard:
 
     def hold_value(self, channel: int) -> float:
         """The last healthy level for *channel* (fusion substitute)."""
+        window = self._hold_window[channel]
+        if window is not None:
+            self._hold[channel] = float(np.median(window))
+            self._hold_window[channel] = None
         return self._hold[channel]
 
     def reason(self, channel: int) -> str:
         """Why *channel* is masked (empty string when healthy)."""
         return self._reasons[channel]
+
+    def window_rows(self) -> np.ndarray:
+        """The buffered raw samples, oldest first: ``(len, n_channels)``."""
+        return np.concatenate(self._chronological())
+
+    def _chronological(self) -> tuple[np.ndarray, ...]:
+        """Views of the ring's rows, oldest first, to concatenate."""
+        if self._ring_len < self.window:
+            return (self._ring[:self._ring_len],)
+        pos = self._ring_pos
+        return self._ring[pos:], self._ring[:pos]
+
+    def load_window(self, rows) -> None:
+        """Replace the buffered samples with *rows* (oldest first)."""
+        rows = np.asarray(rows, dtype=np.float64).reshape(
+            -1, self.n_channels)[-self.window:]
+        self._ring[:len(rows)] = rows
+        self._ring_len = len(rows)
+        self._ring_pos = len(rows) % self.window
+
+    def _write(self, x: np.ndarray) -> None:
+        """Append the rows of *x* to the ring."""
+        w = self.window
+        n = len(x)
+        if n >= w:
+            self._ring[:] = x[n - w:]
+            self._ring_pos = 0
+            self._ring_len = w
+            return
+        pos = self._ring_pos
+        head = min(n, w - pos)
+        self._ring[pos:pos + head] = x[:head]
+        if head < n:
+            self._ring[:n - head] = x[head:]
+        self._ring_pos = (pos + n) % w
+        self._ring_len = min(self._ring_len + n, w)
 
     def _verdict(self, values: np.ndarray) -> str:
         # saturation first: a hard pin at the top code is also flat, but
@@ -276,47 +322,97 @@ class ChannelGuard:
             return "flat"
         return ""
 
+    def _judge(self, c: int, fault: str) -> tuple[bool, str] | None:
+        """Apply one check's verdict (``fault``, empty when healthy) to
+        channel *c*; returns the mask transition it causes, if any.
+
+        A healthy verdict on an unmasked channel makes the checked window
+        the channel's hold source; the caller records it.
+        """
+        if fault:
+            self._healthy_streak[c] = 0
+            if not self._masked[c]:
+                self._masked[c] = True
+                self._reasons[c] = fault
+                return True, fault
+        elif self._masked[c]:
+            self._healthy_streak[c] += 1
+            if self._healthy_streak[c] >= self.recovery_checks:
+                self._masked[c] = False
+                self._reasons[c] = ""
+                self._healthy_streak[c] = 0
+                return False, "recovered"
+        return None
+
+    def _block_verdicts(self, history: np.ndarray, starts: np.ndarray
+                  ) -> tuple[list[list[bool]], list[list[bool]]]:
+        """Saturated and flat verdicts, per check and channel, for the
+        windows ``history[start:start + window]``.
+
+        ``np.mean`` over a bool window is an integer count over the window
+        length — integer counts never round, so a difference of prefix
+        counts carries the same bits as the per-window mean while doing
+        O(T) work instead of O(R * w).  Two exact shortcuts skip the
+        counting on healthy data: nothing in *history* reaches the top
+        code, or *history* holds too few repeated samples in total for
+        any one window to be flat.
+        """
+        w = self.window
+        quiet = [[False] * self.n_channels] * len(starts)
+        if history.max() < self.adc.full_scale:
+            saturated = quiet
+        else:
+            cum = np.zeros((history.shape[0] + 1, self.n_channels),
+                           dtype=np.int64)
+            np.cumsum(history >= self.adc.full_scale, axis=0, out=cum[1:])
+            saturated = ((cum[starts + w] - cum[starts]) / w
+                         > self.max_high_rail).tolist()
+        repeated = np.diff(history, axis=0) == 0.0
+        if np.count_nonzero(repeated) / (w - 1) <= self.max_flat_fraction:
+            flat = quiet
+        else:
+            cum = np.zeros((history.shape[0], self.n_channels),
+                           dtype=np.int64)
+            np.cumsum(repeated, axis=0, out=cum[1:])
+            # the w - 1 adjacent-equal pairs of a window are the history
+            # diffs at rows start .. start + w - 2
+            flat = ((cum[starts + w - 1] - cum[starts]) / (w - 1)
+                    > self.max_flat_fraction).tolist()
+        return saturated, flat
+
     def push(self, values: tuple[float, ...]) -> list[tuple[int, bool, str]]:
         """Ingest one raw frame; returns mask transitions, if any.
 
         Each transition is ``(channel, masked, reason)`` with reason
         ``"flat"``/``"saturated"`` on masking and ``"recovered"`` on
-        unmasking.  Between checks this is two appends and a compare per
-        channel — cheap enough for the 100 Hz hot path.
+        unmasking.  Between checks this is one ring-row write and a
+        compare — cheap enough for the 100 Hz hot path.
         """
         if len(values) != self.n_channels:
             raise ValueError(
                 f"frame has {len(values)} channels, guard has "
                 f"{self.n_channels}")
-        for buffer, value in zip(self._buffers, values):
-            buffer.append(float(value))
+        self._ring[self._ring_pos] = values
+        self._ring_pos = (self._ring_pos + 1) % self.window
+        if self._ring_len < self.window:
+            self._ring_len += 1
         self._since_check += 1
         if (self._since_check < self.check_every
-                or len(self._buffers[0]) < self.window):
+                or self._ring_len < self.window):
             return []
         self._since_check = 0
+        window = self.window_rows()
         transitions: list[tuple[int, bool, str]] = []
         for c in range(self.n_channels):
-            window = np.fromiter(self._buffers[c], dtype=np.float64)
-            fault = self._verdict(window)
-            if fault:
-                self._healthy_streak[c] = 0
-                if not self._masked[c]:
-                    self._masked[c] = True
-                    self._reasons[c] = fault
-                    transitions.append((c, True, fault))
-            else:
-                if self._masked[c]:
-                    self._healthy_streak[c] += 1
-                    if self._healthy_streak[c] >= self.recovery_checks:
-                        self._masked[c] = False
-                        self._reasons[c] = ""
-                        self._healthy_streak[c] = 0
-                        transitions.append((c, False, "recovered"))
-                else:
-                    # remember the healthy level so a masked channel can be
-                    # replaced by its own recent past, not by zero
-                    self._hold[c] = float(np.median(window))
+            column = window[:, c]
+            change = self._judge(c, self._verdict(column))
+            if change is not None:
+                transitions.append((c, *change))
+            elif not self._masked[c]:
+                # remember the healthy level so a masked channel can be
+                # replaced by its own recent past, not by zero
+                self._hold[c] = float(np.median(column))
+                self._hold_window[c] = None
         return transitions
 
     def push_block(self, values: np.ndarray
@@ -329,12 +425,12 @@ class ChannelGuard:
         hold)`` — :meth:`push`'s tuple plus a snapshot of
         :meth:`hold_value` *at that check*, which a block consumer needs
         because the guard's hold state keeps evolving through the rest of
-        the block.  Check cadence is scheduled up front
-        (it only depends on the sample count), the window statistics for
-        all checks are computed in stacked numpy — ``np.mean`` over
-        booleans and ``np.median`` over a window are order-independent, so
-        axis-wise evaluation reproduces the per-window results exactly —
-        and the mask/streak/hold bookkeeping replays sequentially.
+        the block.  Check cadence is scheduled up front (it only depends
+        on the sample count); a block no check falls in only writes the
+        ring.  Otherwise :meth:`_block_verdicts` judges every check's
+        window of ring-plus-block at once, the mask/streak bookkeeping
+        replays sequentially, and the hold medians are left to
+        :meth:`hold_value`, which takes them only when read.
         """
         x = np.asarray(values, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_channels:
@@ -342,115 +438,61 @@ class ChannelGuard:
                 f"frame block has {x.shape[1] if x.ndim == 2 else '?'} "
                 f"channels, guard has {self.n_channels}")
         n = x.shape[0]
-        if n == 0:
-            return []
         w = self.window
-        carried = len(self._buffers[0])
+        carried = self._ring_len
         # a check fires at offset i once since_check >= check_every AND the
         # window is full; since_check resets only when a check actually runs
         first = max(0, self.check_every - 1 - self._since_check,
                     w - 1 - carried)
-        check_offsets = list(range(first, n, self.check_every))
-        if carried:
-            pre = np.array([list(b) for b in self._buffers],
-                           dtype=np.float64).T
-        else:
-            pre = np.empty((0, self.n_channels), dtype=np.float64)
-        # the maxlen=w deques keep only each column's tail anyway
-        tail0 = max(0, n - w)
-        for buffer, column in zip(self._buffers, x.T):
-            buffer.extend(column[tail0:].tolist())
-        if check_offsets:
-            self._since_check = n - 1 - check_offsets[-1]
-        else:
+        if first >= n:
+            self._write(x)
             self._since_check += n
             return []
-
-        history = np.concatenate([pre, x])
+        history = np.concatenate((*self._chronological(), x))
+        self._write(x)
+        check_offsets = range(first, n, self.check_every)
+        self._since_check = n - 1 - check_offsets[-1]
         # start row in history of the window ending at each check offset
-        rows = [carried + off + 1 - w for off in check_offsets]
-        starts = np.asarray(rows)
+        starts = np.arange(carried + first + 1 - w, carried + n + 1 - w,
+                           self.check_every)
         n_ch = self.n_channels
-        full_scale = self.adc.full_scale
-        # exact window statistics from prefix counts: np.mean over a bool
-        # window is (integer count) / w — integer counts never round, so a
-        # difference of cumulative counts carries the same bits as the
-        # per-window mean while doing O(T) work instead of O(R * w)
-        sat_cum = np.zeros((history.shape[0] + 1, n_ch), dtype=np.int64)
-        np.cumsum(history >= full_scale, axis=0, out=sat_cum[1:])
-        sat_count = sat_cum[starts + w] - sat_cum[starts]
-        sat = sat_count / w > self.max_high_rail
-        flat_cum = np.zeros((history.shape[0], n_ch), dtype=np.int64)
-        np.cumsum(np.diff(history, axis=0) == 0.0, axis=0, out=flat_cum[1:])
-        # the w - 1 adjacent-equal pairs of a window are the history diffs
-        # at rows start .. start + w - 2
-        flat_count = flat_cum[starts + w - 1] - flat_cum[starts]
-        flat = flat_count / (w - 1) > self.max_flat_fraction
+        saturated, flat = self._block_verdicts(history, starts)
+        starts = starts.tolist()
 
-        # Hold medians are computed lazily: a hold is only ever observed
-        # at a masking/recovery transition (the snapshot below) and at
-        # block end (state for the next block), and the mask/streak
-        # bookkeeping never reads it — so first replay the bookkeeping
-        # tracking only *which* healthy check each hold would come from,
-        # then take np.median for the handful of windows actually needed.
-        pre_hold = list(self._hold)
-        hold_src: list[int | None] = [None] * self.n_channels
-        raw: list[tuple[int, list[tuple[int, bool, str, int | None]]]] = []
-        for j, off in enumerate(check_offsets):
-            transitions: list[tuple[int, bool, str, int | None]] = []
-            for c in range(self.n_channels):
-                if sat[j, c]:
-                    fault = "saturated"
-                elif flat[j, c]:
-                    fault = "flat"
-                else:
-                    fault = ""
-                if fault:
-                    self._healthy_streak[c] = 0
-                    if not self._masked[c]:
-                        self._masked[c] = True
-                        self._reasons[c] = fault
-                        transitions.append((c, True, fault, hold_src[c]))
-                elif self._masked[c]:
-                    self._healthy_streak[c] += 1
-                    if self._healthy_streak[c] >= self.recovery_checks:
-                        self._masked[c] = False
-                        self._reasons[c] = ""
-                        self._healthy_streak[c] = 0
-                        transitions.append((c, False, "recovered",
-                                            hold_src[c]))
-                else:
-                    hold_src[c] = j
-            if transitions:
-                raw.append((off, transitions))
+        # start row of each channel's newest in-block healthy window
+        hold_start: list[int | None] = [None] * n_ch
 
-        medians: dict[tuple[int, int], float] = {}
-        for _, transitions in raw:
-            for c, _, _, src in transitions:
-                if src is not None:
-                    medians[(src, c)] = 0.0
-        for c, src in enumerate(hold_src):
-            if src is not None:
-                medians[(src, c)] = 0.0
-        for j, c in medians:
-            medians[(j, c)] = float(
-                np.median(history[rows[j]:rows[j] + w, c]))
-        for c, src in enumerate(hold_src):
-            if src is not None:
-                self._hold[c] = medians[(src, c)]
+        def hold_at(c: int) -> float:
+            start = hold_start[c]
+            if start is None:
+                return self.hold_value(c)
+            return float(np.median(history[start:start + w, c]))
 
         out: list[tuple[int, list[tuple[int, bool, str, float]]]] = []
-        for off, transitions in raw:
-            out.append((off, [
-                (c, masked, reason,
-                 pre_hold[c] if src is None else medians[(src, c)])
-                for c, masked, reason, src in transitions]))
+        for j, off in enumerate(check_offsets):
+            transitions: list[tuple[int, bool, str, float]] = []
+            for c in range(n_ch):
+                change = self._judge(
+                    c, "saturated" if saturated[j][c]
+                    else "flat" if flat[j][c] else "")
+                if change is not None:
+                    transitions.append((c, *change, hold_at(c)))
+                elif not self._masked[c]:
+                    hold_start[c] = starts[j]
+            if transitions:
+                out.append((off, transitions))
+        windows: dict[int, np.ndarray] = {}
+        for c, start in enumerate(hold_start):
+            if start is not None:
+                if start not in windows:
+                    windows[start] = history[start:start + w].copy()
+                self._hold_window[c] = windows[start][:, c]
         return out
 
     def clear_window(self) -> None:
         """Forget buffered samples (after a stream gap); masks persist."""
-        for buffer in self._buffers:
-            buffer.clear()
+        self._ring_pos = 0
+        self._ring_len = 0
         self._since_check = 0
 
     def reset(self) -> None:
@@ -460,3 +502,4 @@ class ChannelGuard:
         self._reasons = [""] * self.n_channels
         self._healthy_streak = [0] * self.n_channels
         self._hold = [0.0] * self.n_channels
+        self._hold_window = [None] * self.n_channels

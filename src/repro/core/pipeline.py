@@ -124,7 +124,7 @@ class AirFinger:
         self._segmenter = DynamicThresholdSegmenter(self.config)
         self._dispatcher = GestureDispatcher(self.config)
         self._combined_sbc = StreamingSbc(self.config.sbc_window_samples)
-        self._prefilters: list[StreamingMovingAverage] = []
+        self._prefilter: StreamingMovingAverage | None = None
         history = (self.config.max_segment_samples
                    + 2 * self.config.cluster_gap_samples + 64)
         self._raw: deque[tuple[float, ...]] = deque(maxlen=history)
@@ -205,6 +205,15 @@ class AirFinger:
         if threshold is None:
             threshold = self._segmenter.threshold
         return threshold * self.gate_fraction
+
+    def _frame_prefilter(self, n_channels: int) -> StreamingMovingAverage:
+        """The prefilter for *n_channels*-wide frames, rebuilt (empty) on
+        the first frame and whenever the channel count changes."""
+        if (self._prefilter is None
+                or self._prefilter.channels != n_channels):
+            self._prefilter = StreamingMovingAverage(
+                self.config.prefilter_samples, channels=n_channels)
+        return self._prefilter
 
     def _history_offset(self) -> int:
         return self._pos - len(self._raw)
@@ -310,12 +319,7 @@ class AirFinger:
                 span) -> list:
         """One sample through prefilter → SBC → segmentation → handlers."""
         t_start = perf_counter()
-        if len(self._prefilters) != len(values):
-            self._prefilters = [
-                StreamingMovingAverage(self.config.prefilter_samples)
-                for _ in values]
-        filtered = tuple(f.push(v) for f, v in zip(self._prefilters,
-                                                   values))
+        filtered = self._frame_prefilter(len(values)).push(values)
         self._raw.append(filtered)
         self._last_time_s = time_s
         combined = float(sum(filtered))
@@ -375,7 +379,7 @@ class AirFinger:
         if tail is not None:
             events.extend(self._handle_segment(tail))
         self._combined_sbc.reset()
-        self._prefilters = []
+        self._prefilter = None
         self._raw.clear()
         self._delta.clear()
         if self._guard is not None:
@@ -450,11 +454,14 @@ class AirFinger:
         :meth:`feed` calls over the same frames.
 
         *frames* is a :class:`~repro.acquisition.stream.FrameBlock` or any
-        :class:`RssFrame` iterable.  Contiguous-index stretches run through
-        the vectorized hot path (stacked prefilter + SBC, scheduled guard
-        checks, the segmenter's block state machine); frames that open a
-        gap or arrive out of order are delegated one-by-one to the scalar
-        path, which owns the degradation semantics.  The equivalence
+        :class:`RssFrame` iterable.  Contiguous-index stretches go through
+        one block call per stage (frame prefilter + SBC, scheduled guard
+        checks, the segmenter's block state machine); each stage replays
+        its scalar order on stretches shorter than
+        :data:`~repro.core.sbc.BLOCK_CROSSOVER` and runs numpy passes on
+        longer ones.  Frames that open a gap or arrive out of order are
+        delegated one-by-one to the scalar path, which owns the
+        degradation semantics.  The equivalence
         contract covers the **event sequence** and all pipeline state;
         latency histograms are recorded block-amortized (the frame and
         stage histograms see the per-frame average ``n`` times, so sample
@@ -468,59 +475,70 @@ class AirFinger:
         other scalar fallbacks are counted under
         ``pipeline.block_fallback{reason=...}``.
         """
-        if not isinstance(frames, FrameBlock):
+        if isinstance(frames, FrameBlock):
+            values, times = frames.values, frames.times_s
+            indices = frames.indices.tolist()
+            frame_at = frames.frame
+        else:
+            # stack a frame list without building a FrameBlock: the
+            # boundary and fallback paths reuse the frames themselves
             frames = list(frames)
             try:
-                frames = FrameBlock.from_frames(frames)
+                values = np.array([f.values for f in frames],
+                                  dtype=np.float64)
             except ValueError:
                 # ragged channel counts: only the scalar path can rebuild
                 # its filters mid-stream
                 self._note_block_fallback("ragged_channels", len(frames))
                 return [e for f in frames for e in self.feed(f)]
-        if len(frames) == 0:
+            indices = [f.index for f in frames]
+            times = [f.time_s for f in frames]
+            frame_at = frames.__getitem__
+        n = len(indices)
+        if n == 0:
             return []
         if self._tr.active:
-            self._note_block_fallback("tracing", len(frames))
-            return [e for f in frames.frames() for e in self.feed(f)]
-        n_channels = frames.values.shape[1]
+            self._note_block_fallback("tracing", n)
+            return [e for i in range(n) for e in self.feed(frame_at(i))]
+        n_channels = values.shape[1]
         if ((self.channel_guard and self._guard is not None
                 and self._guard.n_channels != n_channels)
-                or (self._prefilters
-                    and len(self._prefilters) != n_channels)):
+                or (self._prefilter is not None
+                    and self._prefilter.channels != n_channels)):
             # channel count changed mid-stream; scalar semantics (guard
             # ValueError / filter rebuild) are authoritative
-            self._note_block_fallback("channel_count_change", len(frames))
-            return [e for f in frames.frames() for e in self.feed(f)]
+            self._note_block_fallback("channel_count_change", n)
+            return [e for i in range(n) for e in self.feed(frame_at(i))]
 
         events: list = []
-        indices = frames.indices
-        n = len(frames)
         # maximal internally-contiguous stretches; each stretch's head may
         # still open a gap (or be stale) relative to the stream position
-        bounds = ([0] + (np.flatnonzero(np.diff(indices) != 1) + 1).tolist()
-                  + [n])
+        if indices == list(range(indices[0], indices[0] + n)):
+            bounds = [0, n]
+        else:
+            bounds = [0] + [i for i in range(1, n)
+                            if indices[i] - indices[i - 1] != 1] + [n]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             i = lo
             while i < hi:
                 if self._anchor is None:
-                    self._anchor = int(indices[i])
-                if (int(indices[i]) - self._anchor) - self._pos == 0:
-                    events.extend(self._run_block(frames, i, hi))
+                    self._anchor = indices[i]
+                if (indices[i] - self._anchor) - self._pos == 0:
+                    events.extend(self._run_block(values[i:hi], times[i:hi]))
                     i = hi
                 else:
                     # boundary frame: interpolate/reset/drop exactly as the
                     # streaming path would, then resume the fast path
-                    events.extend(self._feed(frames.frame(i), None))
+                    events.extend(self._feed(frame_at(i), None))
                     i += 1
         return events
 
-    def _run_block(self, block: FrameBlock, lo: int, hi: int) -> list:
-        """Vectorized consumption of contiguous, in-order frames [lo, hi)."""
+    def _run_block(self, vals: np.ndarray, times) -> list:
+        """Block consumption of contiguous, in-order frames: their
+        ``(m, channels)`` values and their ``m`` timestamps."""
         t_start = perf_counter()
         self._stage_s.clear()
-        vals = block.values[lo:hi]
-        times = block.times_s[lo:hi]
-        m = hi - lo
+        m = len(vals)
         n_channels = vals.shape[1]
         pos0 = self._pos
         events: list = []
@@ -565,29 +583,23 @@ class AirFinger:
                         x[prev:m, c] = self._hold[c]
         self._last_values = tuple(x[m - 1].tolist())
 
-        # --- prefilter -> combined -> SBC (vectorized, exact) -----------
-        if len(self._prefilters) != n_channels:
-            self._prefilters = [
-                StreamingMovingAverage(self.config.prefilter_samples)
-                for _ in range(n_channels)]
-        filtered = np.empty((m, n_channels), dtype=np.float64)
-        for c, f in enumerate(self._prefilters):
-            filtered[:, c] = f.push_block(x[:, c])
+        # --- prefilter -> combined -> SBC (exact) -----------------------
+        filtered = self._frame_prefilter(n_channels).push_block(x)
         # sequential channel accumulation matches float(sum(tuple))
         combined = np.zeros(m, dtype=np.float64)
         for c in range(n_channels):
             combined += filtered[:, c]
-        delta = np.empty(m, dtype=np.float64)
+        pieces = []
         prev = 0
-        for boundary in reset_offsets + [m]:
-            if boundary > prev:
-                delta[prev:boundary] = self._combined_sbc.push_block(
-                    combined[prev:boundary])
-            if boundary < m:
-                # a mask transition steps the combined signal; the scalar
-                # path restarts SBC at exactly this frame
-                self._combined_sbc.reset()
+        for boundary in reset_offsets:
+            pieces.append(self._combined_sbc.push_block(
+                combined[prev:boundary]))
+            # a mask transition steps the combined signal; the scalar
+            # path restarts SBC at exactly this frame
+            self._combined_sbc.reset()
             prev = boundary
+        pieces.append(self._combined_sbc.push_block(combined[prev:]))
+        delta = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         t_prefilter = perf_counter()
         self._h_prefilter.observe_many((t_prefilter - t_start) / m, m)
 
@@ -604,6 +616,9 @@ class AirFinger:
         # mode fast on realistic mostly-idle streams.
         opens = seg.open_start
         thresholds = seg.thresholds
+        # list rows, not tuples: _slice_raw only ever np.asarrays them
+        rows = filtered.tolist()
+        deltas = delta.tolist()
         raw_append = self._raw.append
         delta_append = self._delta.append
         raw_maxlen = self._raw.maxlen or m
@@ -614,12 +629,10 @@ class AirFinger:
         for k in active + [m]:
             if k > cursor:  # quiet span [cursor, k)
                 # rows deeper than the history deque's maxlen would be
-                # evicted before anything reads them — skip building them
+                # evicted before anything reads them — skip appending them
                 tail = cursor if k - cursor <= raw_maxlen else k - raw_maxlen
-                # list rows, not tuples: _slice_raw only ever np.asarrays
-                # them, and skipping 1 tuple() per row is measurable here
-                self._raw.extend(filtered[tail:k].tolist())
-                self._delta.extend(delta[tail:k].tolist())
+                self._raw.extend(rows[tail:k])
+                self._delta.extend(deltas[tail:k])
                 self._last_time_s = float(times[k - 1])
                 self._pos = pos0 + k
                 if live_every:
@@ -629,9 +642,9 @@ class AirFinger:
             frame_events = guard_events.get(k)
             if frame_events is not None:
                 events.extend(frame_events)
-            raw_append(tuple(filtered[k].tolist()))
+            raw_append(tuple(rows[k]))
             self._last_time_s = float(times[k])
-            delta_append(float(delta[k]))
+            delta_append(deltas[k])
             self._pos = pos0 + k + 1
             done = finished.get(k)
             if done is not None:
@@ -748,7 +761,7 @@ class AirFinger:
         """Drop all stream state (models are kept)."""
         self._segmenter.reset()
         self._combined_sbc.reset()
-        self._prefilters = []
+        self._prefilter = None
         self._raw.clear()
         self._delta.clear()
         self._fed = 0

@@ -19,27 +19,17 @@ from collections import deque
 
 import numpy as np
 
-__all__ = ["sbc_transform", "StreamingSbc", "StreamingMovingAverage", "prefilter"]
+__all__ = ["sbc_transform", "StreamingSbc", "StreamingMovingAverage",
+           "prefilter", "BLOCK_CROSSOVER"]
 
-# Exactness grid for the block-mode fast path: values that are integer
-# multiples of 2^-20 with magnitude <= 2^12 have all their running sums
-# (up to 2^20 terms) exactly representable in float64, so *any* summation
-# order — including cumsum — reproduces the streaming carry bit-for-bit.
-_GRID_SCALE = float(1 << 20)
-_GRID_MAX_ABS = float(1 << 12)
-_GRID_MAX_TERMS = 1 << 20
-
-
-def _on_exact_grid(x: np.ndarray) -> bool:
-    """True when every value of *x* sits on the exactly-summable grid."""
-    if x.size == 0:
-        return True
-    if x.size > _GRID_MAX_TERMS or not np.all(np.isfinite(x)):
-        return False
-    if np.max(np.abs(x)) > _GRID_MAX_ABS:
-        return False
-    scaled = x * _GRID_SCALE
-    return bool(np.all(scaled == np.rint(scaled)))
+#: Block length at which the streaming stages switch from replaying
+#: their per-sample scalar order to their numpy block passes.  A numpy
+#: pass pays a fixed cost per call that a short block cannot amortize:
+#: on idle 3-channel streams ``feed_block`` costs the same either way at
+#: about 64 frames, the replay wins below and the passes above (curve in
+#: docs/API.md).  Serving batches (10 frames) replay; offline replay
+#: (256 frames) vectorizes.
+BLOCK_CROSSOVER = 64
 
 
 def prefilter(signal: np.ndarray, window: int) -> np.ndarray:
@@ -67,71 +57,133 @@ def prefilter(signal: np.ndarray, window: int) -> np.ndarray:
 
 
 class StreamingMovingAverage:
-    """O(1)-per-sample causal moving average (the streaming prefilter)."""
+    """O(1)-per-sample causal moving average (the streaming prefilter).
 
-    def __init__(self, window: int) -> None:
+    With ``channels=None`` one instance filters one channel: :meth:`push`
+    takes and returns a float, :meth:`push_block` a 1-D array.  With
+    ``channels=C`` it filters whole frames: :meth:`push` takes ``C``
+    values and returns a ``C``-tuple, :meth:`push_block` maps an
+    ``(n, C)`` matrix to an ``(n, C)`` matrix.  Each channel keeps its
+    own window and running sum, updated in the single-channel order, so
+    a frame filter is bit-identical to one filter per channel.
+    """
+
+    def __init__(self, window: int, channels: int | None = None) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
+        if channels is not None and channels < 1:
+            raise ValueError(f"channels must be >= 1, got {channels}")
         self.window = window
-        self._buffer: deque[float] = deque(maxlen=window)
-        self._sum = 0.0
+        self.channels = channels
+        width = 1 if channels is None else channels
+        self._buffers: list[deque[float]] = [
+            deque(maxlen=window) for _ in range(width)]
+        self._sums = [0.0] * width
 
-    def push(self, value: float) -> float:
-        """Ingest one sample; returns the mean of the last ``window`` samples."""
-        value = float(value)
-        if len(self._buffer) == self.window:
-            self._sum -= self._buffer[0]
-        self._buffer.append(value)
-        self._sum += value
-        return self._sum / len(self._buffer)
+    def push(self, value):
+        """Ingest one sample (or one frame); returns the window mean(s)."""
+        if self.channels is None:
+            return self._replay(0, [float(value)])[0]
+        if len(value) != self.channels:
+            raise ValueError(
+                f"frame has {len(value)} channels, filter has "
+                f"{self.channels}")
+        return tuple(self._replay(c, [float(v)])[0]
+                     for c, v in enumerate(value))
 
     def push_block(self, values: np.ndarray) -> np.ndarray:
-        """Ingest N samples at once; bit-identical to N :meth:`push` calls.
+        """Ingest N samples (or N frames) at once; bit-identical to N
+        :meth:`push` calls.
 
-        When every involved sample (buffered and incoming) lies on the
-        exactly-summable grid (integer-ish ADC codes, half-count medians),
-        the window sums are computed via a prefix sum — every partial sum
-        is exactly representable, so the result matches the streaming
-        carry recurrence bit-for-bit.  Otherwise a tight scalar loop
-        replays the exact per-push operation order.
+        Blocks shorter than :data:`BLOCK_CROSSOVER` replay the per-push
+        recurrence in a loop.  Longer blocks run the same recurrence as
+        one ``np.add.accumulate`` per channel: a running sum is a left
+        fold — each push subtracts the evicted sample once the window is
+        full, then adds the new one — so laying those operations out in
+        push order and accumulating them performs the same additions in
+        the same order, and every partial sum and mean carries the
+        scalar bits, whatever the values.
         """
-        x = np.asarray(values, dtype=np.float64).ravel()
-        n = x.size
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
+        x = np.asarray(values, dtype=np.float64)
+        if self.channels is None:
+            x = x.reshape(-1, 1)
+        elif x.ndim != 2 or x.shape[1] != self.channels:
+            raise ValueError(
+                f"block of shape {x.shape} does not match a "
+                f"{self.channels}-channel filter")
+        if x.shape[0] < BLOCK_CROSSOVER:
+            out = np.array([self._replay(c, column)
+                            for c, column in enumerate(x.T.tolist())],
+                           dtype=np.float64).T
+        else:
+            out = self._accumulate(x)
+        return out[:, 0] if self.channels is None else out
+
+    def _replay(self, c: int, column: list) -> list:
+        """The running-mean recurrence of channel *c* over *column*
+        (floats): what :meth:`push` runs, one sample at a time."""
         w = self.window
-        buf = self._buffer
-        carried = np.fromiter(buf, dtype=np.float64, count=len(buf))
-        # The carry may hold residue from earlier off-grid samples (e.g.
-        # gap interpolation) even after those samples left the buffer.
-        exact = (_on_exact_grid(carried) and _on_exact_grid(x)
-                 and self._sum == float(np.sum(carried)))
-        if exact:
-            seq = np.concatenate([carried, x])
-            prefix = np.concatenate([[0.0], np.cumsum(seq)])
-            hi = np.arange(len(carried) + 1, len(seq) + 1)
-            lo = np.maximum(hi - w, 0)
-            out = (prefix[hi] - prefix[lo]) / (hi - lo)
-            buf.extend(x.tolist())
-            self._sum = float(np.sum(np.fromiter(buf, dtype=np.float64,
-                                                 count=len(buf))))
-            return out
-        out = np.empty(n, dtype=np.float64)
-        s = self._sum
+        buf = self._buffers[c]
         append = buf.append
-        for i, value in enumerate(x.tolist()):
+        s = self._sums[c]
+        out = []
+        for value in column:
             if len(buf) == w:
                 s -= buf[0]
             append(value)
             s += value
-            out[i] = s / len(buf)
-        self._sum = s
+            out.append(s / len(buf))
+        self._sums[c] = s
         return out
+
+    def _accumulate(self, x: np.ndarray) -> np.ndarray:
+        """The per-push recurrence over ``(n, width)`` as one fold."""
+        w = self.window
+        n, width = x.shape
+        buffers = self._buffers
+        held = len(buffers[0])
+        grow = min(w - held, n)       # pushes before the window is full
+        steps = np.empty((1 + grow + 2 * (n - grow), width))
+        steps[0] = self._sums
+        steps[1:1 + grow] = x[:grow]
+        if grow < n:
+            carried = np.array([list(b) for b in buffers],
+                               dtype=np.float64).reshape(width, held).T
+            evicted = np.concatenate((carried, x))[held + grow - w:
+                                                   held + n - w]
+            steps[1 + grow::2] = -evicted   # push order: evict, then add
+            steps[2 + grow::2] = x[grow:]
+        acc = np.add.accumulate(steps, axis=0)
+        sums = np.concatenate((acc[1:1 + grow], acc[2 + grow::2]))
+        counts = np.minimum(np.arange(held + 1, held + n + 1), w)
+        for buf, column in zip(buffers, x[n - min(n, w):].T.tolist()):
+            buf.extend(column)
+        self._sums = acc[-1].tolist()
+        return sums / counts[:, None]
+
+    def channel_state(self) -> list[tuple[list[float], float]]:
+        """Per channel ``(buffered samples oldest first, running sum)``."""
+        return [(list(buf), s) for buf, s in zip(self._buffers, self._sums)]
+
+    def load_channel_state(self,
+                           state: list[tuple[list[float], float]]) -> None:
+        """Restore :meth:`channel_state` output (one entry per channel)."""
+        if len(state) != len(self._buffers):
+            raise ValueError(
+                f"{len(state)} channel states for {len(self._buffers)} "
+                f"channels")
+        if len({len(buffered) for buffered, _ in state}) > 1:
+            raise ValueError("channel states hold unequal sample counts")
+        for c, (buffered, s) in enumerate(state):
+            self._buffers[c].clear()
+            self._buffers[c].extend(float(v) for v in buffered)
+            self._sums[c] = float(s)
 
     def reset(self) -> None:
         """Forget buffered samples."""
-        self._buffer.clear()
-        self._sum = 0.0
+        for buf in self._buffers:
+            buf.clear()
+        self._sums = [0.0] * len(self._buffers)
 
 
 def sbc_transform(signal: np.ndarray, window: int = 1) -> np.ndarray:
@@ -181,16 +233,24 @@ class StreamingSbc:
 
     def push(self, value: float) -> float:
         """Ingest one RSS sample; returns ΔRSS² (0.0 during warm-up)."""
-        value = float(value)
-        self._buffer.append(value)
-        self._count += 1
-        if len(self._buffer) < 2 * self.window:
-            return 0.0
+        return self._replay([float(value)])[0]
+
+    def _replay(self, values: list) -> list:
+        """ΔRSS² of each of *values* (floats), pushed one at a time."""
+        w = self.window
+        full = 2 * w
         buf = self._buffer
-        prev_sum = sum(list(buf)[: self.window])
-        cur_sum = sum(list(buf)[self.window:])
-        delta = (cur_sum - prev_sum) / self.window
-        return delta * delta
+        out = []
+        for value in values:
+            buf.append(value)
+            if len(buf) < full:
+                out.append(0.0)
+                continue
+            items = list(buf)
+            delta = (sum(items[w:]) - sum(items[:w])) / w
+            out.append(delta * delta)
+        self._count += len(values)
+        return out
 
     def push_many(self, values: np.ndarray) -> np.ndarray:
         """Ingest a batch, returning one ΔRSS² per input sample."""
@@ -199,16 +259,18 @@ class StreamingSbc:
     def push_block(self, values: np.ndarray) -> np.ndarray:
         """Ingest N samples at once; bit-identical to N :meth:`push` calls.
 
-        Window sums are built by strided accumulation in the same
-        left-to-right order as the scalar ``sum()`` over the buffer, so
-        every elementwise rounding step matches the streaming path.
+        Blocks shorter than :data:`BLOCK_CROSSOVER` run the per-push
+        arithmetic in a loop.  Longer ones build the window sums by
+        strided accumulation in the same left-to-right order as the
+        scalar ``sum()`` over the buffer, so every elementwise rounding
+        step matches the streaming path.
         """
         x = np.asarray(values, dtype=np.float64).ravel()
         n = x.size
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
         w = self.window
         buf = self._buffer
+        if n < BLOCK_CROSSOVER:
+            return np.array(self._replay(x.tolist()), dtype=np.float64)
         carried = np.fromiter(buf, dtype=np.float64, count=len(buf))
         seq = np.concatenate([carried, x])
         out = np.zeros(n, dtype=np.float64)

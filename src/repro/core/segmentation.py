@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import AirFingerConfig
+from repro.core.sbc import BLOCK_CROSSOVER
 from repro.utils import fast_quantile
 
 __all__ = ["otsu_threshold", "Segment", "BlockSegmentation",
@@ -326,11 +327,6 @@ class DynamicThresholdSegmenter:
         """
         return self._open_start
 
-    def _refresh_threshold(self) -> None:
-        new = self._refresh_from(self._hist_buf[:self._hist_len])
-        if new is not None:
-            self._threshold = new
-
     def _refresh_from(self, history: np.ndarray) -> float | None:
         """The refreshed threshold for *history*, or None to keep the old one.
 
@@ -413,72 +409,33 @@ class DynamicThresholdSegmenter:
         ``t_e`` samples (otherwise a following burst would have been
         clustered into it) and it passes the minimum-length filter.
         """
-        raw = float(value)
-        if len(self._env_buffer) == self._env_buffer.maxlen:
-            self._env_sum -= self._env_buffer[0]
-        self._env_buffer.append(raw)
-        self._env_sum += raw
-        value = self._env_sum / len(self._env_buffer)
-        self._hist_buf[self._hist_pos] = value
-        self._hist_pos += 1
-        if self._hist_pos == self._hist_buf.shape[0]:
-            self._hist_pos = 0
-        if self._hist_len < self._hist_buf.shape[0]:
-            self._hist_len += 1
-        self._since_refresh += 1
-        if self._since_refresh >= self.config.otsu_refresh_samples:
-            self._refresh_threshold()
-            self._since_refresh = 0
-
-        i = self._index
-        self._index += 1
-        emitted: Segment | None = None
-
-        above = value > self._threshold
-        if above:
-            if self._open_start is None:
-                if self._pending is not None and self._gap < self.config.cluster_gap_samples:
-                    # cluster with the previous burst (gap < t_e)
-                    self._open_start = self._pending.start
-                    self._pending = None
-                else:
-                    emitted = self._take_pending()
-                    self._open_start = i
-            if (self._open_start is not None
-                    and i - self._open_start + 1 >= self.config.max_segment_samples):
-                self._pending = Segment(self._open_start, i + 1)
-                self._open_start = None
-                self._gap = 0
-        else:
-            if self._open_start is not None:
-                self._pending = Segment(self._open_start, i)
-                self._open_start = None
-                self._gap = 0
-            elif self._pending is not None:
-                self._gap += 1
-                if self._gap >= self.config.cluster_gap_samples:
-                    emitted = self._take_pending()
-        return emitted
+        finished = self._replay([float(value)])[0]
+        return finished[0][1] if finished else None
 
     def push_block(self, values: np.ndarray) -> BlockSegmentation:
         """Ingest N ΔRSS² samples; bit-identical to N :meth:`push` calls.
 
-        The envelope carry, history ring, threshold refreshes and the
-        open/pending/gap state machine are replayed in a tight loop with
-        hoisted locals — the exact scalar operation order, minus the
-        per-call attribute traffic.  Besides the finished segments (with
-        their block offsets), the returned :class:`BlockSegmentation`
-        exposes the post-push ``open_start``/``threshold`` trajectory the
+        Blocks shorter than :data:`~repro.core.sbc.BLOCK_CROSSOVER` run
+        :meth:`push`'s own per-sample loop over the whole block, with the
+        state in locals.  Longer blocks run three passes: the envelope as one
+        accumulate, every threshold refresh of the block in one batched
+        Otsu, and the open/pending/gap state machine fast-forwarding
+        over quiet spans.  Besides the finished segments (with their
+        block offsets), the returned :class:`BlockSegmentation` exposes
+        the post-push ``open_start``/``threshold`` trajectory the
         pipeline needs to interleave live updates without re-reading
         (already advanced) segmenter state.
         """
         x = np.asarray(values, dtype=np.float64).ravel()
         n = x.size
+        if n < BLOCK_CROSSOVER:
+            finished, open_after, thresholds, open_offsets = self._replay(
+                x.tolist())
+            return BlockSegmentation(finished, open_after,
+                                     np.array(thresholds, dtype=np.float64),
+                                     open_offsets)
         finished: list = []
         open_after: list = []
-        if n == 0:
-            return BlockSegmentation(finished, open_after,
-                                     np.empty(0, dtype=np.float64), [])
 
         config = self.config
         env_buf = self._env_buffer
@@ -684,6 +641,105 @@ class DynamicThresholdSegmenter:
         self._gap = gap
         return BlockSegmentation(finished, open_after, thr_per_sample,
                                  open_offsets)
+
+    def _replay(self, values: list) -> tuple[list, list, list, list]:
+        """The per-sample recurrence over *values* (floats), in push order.
+
+        The one implementation of :meth:`push`, and a short block's path:
+        returns ``(finished, open_after, thresholds, open_offsets)`` as
+        :class:`BlockSegmentation` lays them out.
+        """
+        config = self.config
+        env_buf = self._env_buffer
+        env_full = env_buf.maxlen
+        env_sum = self._env_sum
+        hist = self._hist_buf
+        hist_size = hist.shape[0]
+        hist_pos = self._hist_pos
+        hist_len = self._hist_len
+        since = self._since_refresh
+        refresh_every = config.otsu_refresh_samples
+        threshold = self._threshold
+        index = self._index
+        open_start = self._open_start
+        pending = self._pending
+        gap = self._gap
+        max_len = config.max_segment_samples
+        cluster_gap = config.cluster_gap_samples
+        min_len = config.min_segment_samples
+        backdate = self._backdate
+        finished: list = []
+        open_after: list = []
+        open_offsets: list = []
+        thresholds: list = []
+        for off, raw in enumerate(values):
+            if len(env_buf) == env_full:
+                env_sum -= env_buf[0]
+            env_buf.append(raw)
+            env_sum += raw
+            value = env_sum / len(env_buf)
+            hist[hist_pos] = value
+            hist_pos += 1
+            if hist_pos == hist_size:
+                hist_pos = 0
+            if hist_len < hist_size:
+                hist_len += 1
+            since += 1
+            if since >= refresh_every:
+                new = self._refresh_from(hist[:hist_len])
+                if new is not None:
+                    threshold = new
+                since = 0
+            thresholds.append(threshold)
+
+            emitted = None
+            if value > threshold:
+                if open_start is None:
+                    if pending is not None and gap < cluster_gap:
+                        # cluster with the previous burst (gap < t_e)
+                        open_start = pending.start
+                        pending = None
+                    else:
+                        emitted = pending
+                        pending = None
+                        if emitted is not None:
+                            gap = 0
+                        open_start = index
+                if index - open_start + 1 >= max_len:
+                    pending = Segment(open_start, index + 1)
+                    open_start = None
+                    gap = 0
+            elif open_start is not None:
+                pending = Segment(open_start, index)
+                open_start = None
+                gap = 0
+            elif pending is not None:
+                gap += 1
+                if gap >= cluster_gap:
+                    emitted = pending
+                    pending = None
+                    gap = 0
+            if emitted is not None and emitted.length >= min_len:
+                # compensate the causal envelope's onset delay
+                start = max(0, emitted.start - backdate)
+                finished.append(
+                    (off, Segment(start, max(start + 1,
+                                             emitted.end - backdate))))
+            index += 1
+            open_after.append(open_start)
+            if open_start is not None:
+                open_offsets.append(off)
+
+        self._env_sum = env_sum
+        self._hist_pos = hist_pos
+        self._hist_len = hist_len
+        self._since_refresh = since
+        self._threshold = threshold
+        self._index = index
+        self._open_start = open_start
+        self._pending = pending
+        self._gap = gap
+        return finished, open_after, thresholds, open_offsets
 
     def _take_pending(self) -> Segment | None:
         if self._pending is None:

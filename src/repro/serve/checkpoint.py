@@ -97,9 +97,11 @@ def engine_state(engine: AirFinger) -> dict:
             "buffer": [float(v) for v in engine._combined_sbc._buffer],
             "count": engine._combined_sbc._count,
         },
-        "prefilters": [
-            {"buffer": [float(v) for v in f._buffer], "sum": float(f._sum)}
-            for f in engine._prefilters],
+        # one entry per channel (the schema-1 layout of per-channel
+        # filters), whatever shape the engine keeps them in
+        "prefilters": ([] if engine._prefilter is None else [
+            {"buffer": [float(v) for v in buffered], "sum": float(s)}
+            for buffered, s in engine._prefilter.channel_state()]),
         "raw": [[float(v) for v in row] for row in engine._raw],
         "delta": [float(v) for v in engine._delta],
         "fed": engine._fed,
@@ -116,12 +118,13 @@ def engine_state(engine: AirFinger) -> dict:
     if guard is not None:
         state["guard"] = {
             "n_channels": guard.n_channels,
-            "buffers": [[float(v) for v in buf]
-                        for buf in guard._buffers],
+            # per-channel sample lists, oldest first
+            "buffers": guard.window_rows().T.tolist(),
             "masked": list(guard._masked),
             "reasons": list(guard._reasons),
             "healthy_streak": list(guard._healthy_streak),
-            "hold": [float(v) for v in guard._hold],
+            "hold": [float(guard.hold_value(c))
+                     for c in range(guard.n_channels)],
             "since_check": guard._since_check,
         }
     else:
@@ -159,14 +162,12 @@ def load_engine_state(engine: AirFinger, state: dict) -> AirFinger:
     sbc._buffer.extend(float(v) for v in state["sbc"]["buffer"])
     sbc._count = int(state["sbc"]["count"])
 
-    from repro.core.sbc import StreamingMovingAverage
-    prefilters = []
-    for entry in state["prefilters"]:
-        f = StreamingMovingAverage(engine.config.prefilter_samples)
-        f._buffer.extend(float(v) for v in entry["buffer"])
-        f._sum = float(entry["sum"])
-        prefilters.append(f)
-    engine._prefilters = prefilters
+    entries = state["prefilters"]
+    if entries:
+        engine._frame_prefilter(len(entries)).load_channel_state(
+            [(entry["buffer"], entry["sum"]) for entry in entries])
+    else:
+        engine._prefilter = None
 
     engine._raw.clear()
     engine._raw.extend(tuple(float(v) for v in row)
@@ -195,8 +196,9 @@ def load_engine_state(engine: AirFinger, state: dict) -> AirFinger:
             window=engine.config.guard_window_samples,
             check_every=engine.config.guard_check_every_samples,
             recovery_checks=engine.config.guard_recovery_checks)
-        for buf, values in zip(guard._buffers, g["buffers"]):
-            buf.extend(float(v) for v in values)
+        buffers = g["buffers"]
+        if buffers and buffers[0]:
+            guard.load_window(np.asarray(buffers, dtype=np.float64).T)
         guard._masked = [bool(v) for v in g["masked"]]
         guard._reasons = [str(v) for v in g["reasons"]]
         guard._healthy_streak = [int(v) for v in g["healthy_streak"]]

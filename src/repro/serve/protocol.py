@@ -75,6 +75,7 @@ __all__ = [
     "MAX_MESSAGE_BYTES",
     "ProtocolError",
     "encode_message",
+    "loads",
     "MessageDecoder",
     "hello",
     "hello_ack",
@@ -113,6 +114,25 @@ _HEADER = struct.Struct("!I")
 
 class ProtocolError(ValueError):
     """A peer violated the wire protocol (framing, handshake, payload)."""
+
+
+def _refuse_constant(name: str):
+    raise ProtocolError(f"non-finite number {name} on the wire")
+
+
+#: Plain ``json.loads`` accepts the ``NaN``/``Infinity`` literals that
+#: :func:`encode_message` refuses to write; one shared decoder refuses
+#: them on the way in too.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def loads(body: bytes):
+    """Decode one UTF-8 JSON message body, refusing non-finite literals.
+
+    Raises ``ValueError`` (a :class:`ProtocolError` for ``NaN`` and
+    ``Infinity``) on anything that is not strict JSON.
+    """
+    return _DECODER.decode(body.decode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +186,7 @@ class MessageDecoder:
             body = bytes(self._buffer[_HEADER.size:end])
             del self._buffer[:end]
             try:
-                message = json.loads(body)
+                message = loads(body)
             except ValueError as exc:
                 raise ProtocolError(f"undecodable message body: {exc}")
             if not isinstance(message, dict) or "type" not in message:

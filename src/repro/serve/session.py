@@ -106,7 +106,8 @@ class ServeSession:
 
     __slots__ = ("tenant", "session_id", "engine", "queue", "dropped",
                  "frames_in", "events_out", "opened_s", "last_active_s",
-                 "closed", "queue_gauge")
+                 "closed", "queue_gauge", "frame_counters",
+                 "events_counter")
 
     def __init__(self, tenant: str, session_id: str, engine: AirFinger,
                  now_s: float) -> None:
@@ -123,6 +124,10 @@ class ServeSession:
         self.closed = False
         #: ``serve.queue_depth`` gauge, bound by the owning manager
         self.queue_gauge = None
+        #: ``serve.frames`` / ``serve.session_frames`` and
+        #: ``serve.events`` handles, bound by the manager on first use
+        self.frame_counters = None
+        self.events_counter = None
 
     @property
     def key(self) -> tuple[str, str]:
@@ -256,6 +261,7 @@ class SessionManager:
         """
         self._sessions.pop(session.key, None)
         session.queue_gauge = None
+        session.frame_counters = None
         self._metrics.remove("serve.queue_depth", tenant=session.tenant,
                              session=session.session_id)
         self._metrics.remove("serve.session_frames", tenant=session.tenant,
@@ -342,11 +348,15 @@ class SessionManager:
             dropped = 0
         if session.queue_gauge is not None:
             session.queue_gauge.set(len(queue))
-        self._metrics.counter("serve.frames",
-                              tenant=session.tenant).inc(len(frames))
-        self._metrics.counter("serve.session_frames",
-                              tenant=session.tenant,
-                              session=session.session_id).inc(len(frames))
+        counters = session.frame_counters
+        if counters is None:
+            counters = session.frame_counters = (
+                self._metrics.counter("serve.frames", tenant=session.tenant),
+                self._metrics.counter("serve.session_frames",
+                                      tenant=session.tenant,
+                                      session=session.session_id))
+        for counter in counters:
+            counter.inc(len(frames))
         return dropped
 
     def dispatch(self, session: ServeSession) -> list:
@@ -374,29 +384,37 @@ class SessionManager:
     def _dispatch(self, session: ServeSession) -> list:
         t_start = self._clock()
         batch: list[RssFrame] = []
-        enqueued: list[float] = []
+        # [enqueue stamp, frame count] per run of equal stamps: one
+        # enqueue call stamps all its frames alike, so a batch holds a
+        # few runs, and each run waited the same time
+        runs: list[list] = []
         queue = session.queue
         limit = self.config.max_batch_frames
         while queue and len(batch) < limit:
             frame, t_enq = queue.popleft()
             batch.append(frame)
-            enqueued.append(t_enq)
+            if runs and runs[-1][0] == t_enq:
+                runs[-1][1] += 1
+            else:
+                runs.append([t_enq, 1])
         if session.queue_gauge is not None:
             session.queue_gauge.set(len(queue))
         events = session.engine.feed_block(batch)
         session.events_out += len(events)
         t_done = self._clock()
-        self._metrics.counter("serve.events",
-                              tenant=session.tenant).inc(len(events))
+        if session.events_counter is None:
+            session.events_counter = self._metrics.counter(
+                "serve.events", tenant=session.tenant)
+        session.events_counter.inc(len(events))
         self._h_dispatch.observe(t_done - t_start)
         self._h_batch.observe(len(batch))
         slo = self.config.latency_slo_s
         misses = 0
-        for t_enq in enqueued:
+        for t_enq, count in runs:
             wait_s = t_done - t_enq
-            self._h_latency.observe(wait_s)
+            self._h_latency.observe_many(wait_s, count)
             if wait_s > slo:
-                misses += 1
+                misses += count
         if misses:
             self._c_slo_miss.inc(misses)
         return events

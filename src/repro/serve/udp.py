@@ -69,7 +69,7 @@ def encode_datagram(message: dict) -> bytes:
 def decode_datagram(data: bytes) -> dict:
     """The inverse of :func:`encode_datagram`."""
     try:
-        message = json.loads(data)
+        message = protocol.loads(data)
     except ValueError as exc:
         raise protocol.ProtocolError(f"undecodable datagram: {exc}")
     if not isinstance(message, dict) or "type" not in message:

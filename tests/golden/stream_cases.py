@@ -85,13 +85,16 @@ def trace_events(frames, block_size: int | None = None) -> list[str]:
     comparing lines compares bits.
     """
     engine = AirFinger()
+    events = []
     if block_size is None:
-        events = []
         for frame in frames:
             events.extend(engine.feed(frame))
-        events.extend(engine.flush())
     else:
-        events = engine.feed_frames(frames, block_size=block_size)
+        # explicit feed_block calls: block_size=1 means one-frame blocks
+        # (feed_frames would route those through the scalar feed)
+        for lo in range(0, len(frames), block_size):
+            events.extend(engine.feed_block(frames[lo:lo + block_size]))
+    events.extend(engine.flush())
     return [repr(event) for event in events]
 
 

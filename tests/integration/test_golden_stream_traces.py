@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.sbc import BLOCK_CROSSOVER
 from tests.golden.stream_cases import (
     STREAM_CASES,
     build_stream_cases,
@@ -27,7 +28,10 @@ from tests.golden.stream_cases import (
     trace_events,
 )
 
-BLOCK_SIZES = (2, 7, 64, 256, 4096)
+# 1 and 10 (the serving batch) and the sizes either side of the crossover
+# pin both the per-sample replay and the numpy passes of every stage
+BLOCK_SIZES = tuple(sorted({1, 2, 7, 10, BLOCK_CROSSOVER - 1,
+                            BLOCK_CROSSOVER, 64, 256, 4096}))
 
 
 @pytest.fixture(scope="module")

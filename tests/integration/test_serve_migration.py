@@ -18,6 +18,7 @@ continues.
 from __future__ import annotations
 
 import asyncio
+import json
 import sys
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from repro.serve import (
     protocol,
 )
 from repro.serve.checkpoint import (
+    CHECKPOINT_SCHEMA,
     checkpoint_session,
     config_digest,
     engine_state,
@@ -42,6 +44,9 @@ from repro.serve.checkpoint import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from golden.stream_cases import build_stream_cases  # noqa: E402
+
+SCHEMA1_PATH = (Path(__file__).resolve().parents[1] / "golden"
+                / "checkpoint_schema1.json")
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +164,6 @@ class TestEngineStateExactness:
                 f"case {name!r}: state round-trip not exact")
 
     def test_state_is_json_safe(self, stream_cases):
-        import json
         _, frames = stream_cases[0]
         engine = AirFinger(metrics=MetricsRegistry(),
                            tracer=Tracer(sample=0.0))
@@ -170,6 +174,52 @@ class TestEngineStateExactness:
                           tracer=Tracer(sample=0.0))
         load_engine_state(clone, rehydrated)
         assert engine_state(clone) == state
+
+
+class TestSchemaOnePayload:
+    """A committed schema-1 checkpoint still restores exactly.
+
+    ``golden/checkpoint_schema1.json`` was captured mid-gesture (segment
+    open, channel 1 masked, three frames still queued) from the engine
+    that kept one prefilter per channel and one deque per guard channel.
+    Today's engine keeps a single frame prefilter and a 2-D guard ring,
+    but the payload layout must not move: the restored session has to
+    continue exactly as an unmigrated replay does.
+    """
+
+    @pytest.fixture(scope="class")
+    def fixture(self):
+        return json.loads(SCHEMA1_PATH.read_text())
+
+    def test_restore_continues_like_unmigrated_replay(self, fixture,
+                                                      stream_cases):
+        payload = fixture["payload"]
+        assert payload["schema"] == CHECKPOINT_SCHEMA == 1
+        assert payload["engine"]["segmenter"]["open_start"] is not None
+        assert any(payload["engine"]["guard"]["masked"])
+        frames = dict(stream_cases)[fixture["case"]]
+        manager = _manager(ServeConfig(max_batch_frames=10))
+        session = restore_session(manager, payload)
+        manager.enqueue(session, frames[fixture["cut"]:])
+        events = _drain(manager, session)
+        # every window (guard ring, prefilter, SBC, threshold history)
+        # carried on exactly as in an engine that never stopped
+        unmigrated = AirFinger(metrics=MetricsRegistry(),
+                               tracer=Tracer(sample=0.0))
+        for frame in frames:
+            unmigrated.feed(frame)
+        assert engine_state(session.engine) == engine_state(unmigrated)
+        events += manager.close(session)
+        assert (fixture["events_before"] + [repr(e) for e in events]
+                == _reference(frames))
+
+    def test_layout_is_a_fixed_point(self, fixture):
+        """Load the old payload, serialize again: the same plain data."""
+        state = fixture["payload"]["engine"]
+        engine = AirFinger(metrics=MetricsRegistry(),
+                           tracer=Tracer(sample=0.0))
+        load_engine_state(engine, state)
+        assert engine_state(engine) == state
 
 
 class TestGuards:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.sbc import (
+    BLOCK_CROSSOVER,
     StreamingMovingAverage,
     StreamingSbc,
     prefilter,
@@ -114,3 +115,65 @@ class TestPrefilter:
             prefilter(np.zeros(5), 0)
         with pytest.raises(ValueError):
             StreamingMovingAverage(0)
+
+
+class TestStreamingMovingAverageFrames:
+    """One frame filter over ``(m, 3)`` blocks == three scalar filters."""
+
+    @staticmethod
+    def _frames(n: int) -> np.ndarray:
+        rng = np.random.default_rng(4)
+        x = np.round(rng.uniform(400, 700, size=(n, 3)))   # ADC codes
+        x[40:60, 1] = 551.5                                # held median
+        # gap-interpolated rows: k/(g+1) steps land off the 2^-k grid
+        a, b = x[99].copy(), x[103].copy()
+        for k in range(3):
+            x[100 + k] = a + (k + 1) / 4.0 * (b - a)
+        x[180:190] = x[179] + np.arange(1, 11)[:, None] / 3.0
+        # full-mantissa values, where summation order shows in the bits
+        x[200:280] = rng.normal(550.0, 40.0, size=(80, 3)) * np.pi / 3.0
+        return x
+
+    @pytest.mark.parametrize(
+        "split", [1, 10, BLOCK_CROSSOVER - 1, BLOCK_CROSSOVER, 256])
+    def test_push_block_matches_per_channel_push(self, split):
+        x = self._frames(300)
+        scalar = [StreamingMovingAverage(5) for _ in range(3)]
+        ref = [[f.push(v) for f, v in zip(scalar, row)] for row in x.tolist()]
+        frame = StreamingMovingAverage(5, channels=3)
+        got = []
+        for i in range(0, len(x), split):
+            out = frame.push_block(x[i:i + split])
+            assert out.shape == (len(x[i:i + split]), 3)
+            got.extend(out.tolist())
+        assert [[repr(v) for v in row] for row in got] == \
+            [[repr(v) for v in row] for row in ref]
+        assert frame.channel_state() == [
+            (list(f._buffers[0]), f._sums[0]) for f in scalar]
+
+    def test_push_matches_push_block(self):
+        x = self._frames(300)
+        one = StreamingMovingAverage(5, channels=3)
+        block = StreamingMovingAverage(5, channels=3)
+        ref = [one.push(tuple(row)) for row in x.tolist()]
+        got = block.push_block(x).tolist()
+        assert [[repr(v) for v in r] for r in ref] == \
+            [[repr(v) for v in r] for r in got]
+
+    def test_channel_count_is_checked(self):
+        frame = StreamingMovingAverage(5, channels=3)
+        with pytest.raises(ValueError):
+            frame.push((1.0, 2.0))
+        with pytest.raises(ValueError):
+            frame.push_block(np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            StreamingMovingAverage(5, channels=0)
+
+    def test_state_round_trip(self):
+        x = self._frames(300)
+        src = StreamingMovingAverage(5, channels=3)
+        src.push_block(x[:103])
+        dst = StreamingMovingAverage(5, channels=3)
+        dst.load_channel_state(src.channel_state())
+        assert [repr(v) for v in dst.push_block(x[103:]).ravel()] == \
+            [repr(v) for v in src.push_block(x[103:]).ravel()]

@@ -17,6 +17,7 @@ from repro.core.events import (
 )
 from repro.serve import protocol
 from repro.serve.protocol import MessageDecoder, ProtocolError, encode_message
+from repro.serve.udp import decode_datagram
 
 SEGMENT = SegmentEvent(start_index=120, end_index=245,
                        start_time_s=1.2, end_time_s=2.45)
@@ -93,6 +94,25 @@ class TestFraming:
         blob = struct.pack("!I", len(body)) + body
         with pytest.raises(ProtocolError, match="undecodable"):
             MessageDecoder().feed(blob)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_frames_rejected(self, literal):
+        """Plain json.loads turns these literals into floats that would
+        reach the engine; the wire refuses them, as the encoder does."""
+        body = ('{"type":"frames","frames":[[0,0.0,[%s,498.0,530.0]]]}'
+                % literal).encode()
+        blob = struct.pack("!I", len(body)) + body
+        with pytest.raises(ProtocolError, match="non-finite"):
+            MessageDecoder().feed(blob)
+        with pytest.raises(ProtocolError, match="non-finite"):
+            decode_datagram(body)
+
+    def test_finite_frames_still_decode(self):
+        message = protocol.frames_message(
+            [RssFrame(index=0, time_s=0.0, values=(512.0, 498.0, 530.0))])
+        [decoded] = MessageDecoder().feed(encode_message(message))
+        assert protocol.decode_frames(decoded)[0].values == (
+            512.0, 498.0, 530.0)
 
 
 class TestHandshake:

@@ -251,6 +251,40 @@ class TestClockInjection:
         assert session.last_active_s == clock.now
         assert all(enq_s == clock.now for _f, enq_s in session.queue)
 
+    def test_batched_latency_matches_one_observe_per_frame(self):
+        """Frames sharing an enqueue stamp are recorded with one
+        ``observe_many``; the histogram must match a per-frame
+        ``observe`` of every frame's wait, sum aside (float rounding)."""
+        config = ServeConfig(latency_slo_s=0.05, max_batch_frames=512)
+        manager, registry, clock = _manager(config)
+        session = manager.open("t0", "dev0")
+        stamps = []
+        start = 0
+        # four messages of uneven size, queued at different instants
+        for n, wait_s in ((10, 0.02), (7, 0.035), (10, 0.001), (3, 0.0)):
+            manager.enqueue(session, _frames(start, n))
+            stamps += [clock.now] * n
+            start += n
+            clock.now += wait_s
+        manager.dispatch(session)                 # one batch drains all
+        assert session.pending == 0
+
+        reference = MetricsRegistry()
+        ref_hist = reference.histogram("serve.frame_latency_seconds")
+        misses = 0
+        for t_enq in stamps:
+            ref_hist.observe(clock.now - t_enq)
+            misses += clock.now - t_enq > config.latency_slo_s
+        want = reference.snapshot().histograms[
+            "serve.frame_latency_seconds"]
+        got = registry.snapshot().histograms["serve.frame_latency_seconds"]
+        assert got["sum"] == pytest.approx(want["sum"], rel=1e-12)
+        for key in want:
+            if key != "sum":
+                assert got[key] == want[key], key
+        assert 0 < misses < len(stamps)            # both sides of the SLO
+        assert _counter(registry, "serve.deadline_miss") == misses
+
 
 class TestSeriesRetirement:
     """Regression: per-session label series must die with the session.
