@@ -19,7 +19,11 @@ from repro.core.detector import DetectAimedRecognizer
 from repro.core.interference import InterferenceFilter
 from repro.core.pipeline import AirFinger
 from repro.features.extractor import FeatureExtractor
-from repro.ml.serialize import deserialize_model, serialize_model
+from repro.ml.serialize import (
+    deserialize_model,
+    n_features_in,
+    serialize_model,
+)
 
 __all__ = ["save_stack", "load_stack", "FORMAT_VERSION"]
 
@@ -32,6 +36,16 @@ def _extractor_payload(extractor: FeatureExtractor) -> dict:
 
 def _extractor_restore(payload: dict) -> FeatureExtractor:
     return FeatureExtractor.for_names(payload["names"])
+
+
+def _check_width(block: str, model, width: int) -> None:
+    """Refuse a model that cannot read its extractor's columns — at load,
+    not at the first segment in serving."""
+    expected = n_features_in(model)
+    if expected != width:
+        raise ValueError(
+            f"{block}: the model reads {expected} features but the "
+            f"extractor provides {width}")
 
 
 def save_stack(path: str | Path,
@@ -107,6 +121,10 @@ def load_stack(path: str | Path) -> dict:
             detector.selector = selector
         detector.model_ = deserialize_model(block["model"])
         detector.classes_ = detector.model_.classes_
+        width = (int(detector.selector.column_mask_.sum())
+                 if detector.selector is not None
+                 else detector.extractor.n_features)
+        _check_width("detector", detector.model_, width)
 
     inter = None
     if "interference_filter" in payload:
@@ -114,6 +132,8 @@ def load_stack(path: str | Path) -> dict:
         inter = InterferenceFilter(
             extractor=_extractor_restore(block["extractor"]))
         inter.model_ = deserialize_model(block["model"])
+        _check_width("interference_filter", inter.model_,
+                     inter.extractor.n_features)
 
     engine = AirFinger(
         config=config or AirFingerConfig(),

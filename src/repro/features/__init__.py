@@ -11,6 +11,8 @@ subpackage implements every Table-I family from scratch:
 * :mod:`repro.features.registry` — the named, parameterized feature
   catalogue, including the 9 **bold** families reused by the
   interference-removal classifier (Section IV-F).
+* :mod:`repro.features.series` — one cleaned signal plus the memo of
+  intermediates its features share.
 * :mod:`repro.features.extractor` — vectorized extraction of feature
   matrices from segmented ``ΔRSS^2`` signals.
 * :mod:`repro.features.selection` — importance ranking and family-level
@@ -29,6 +31,7 @@ from repro.features.registry import (
     family_of,
 )
 from repro.features.extractor import FeatureExtractor, extract_feature_matrix
+from repro.features.series import Series
 from repro.features.selection import FeatureSelector, rank_families
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
     "family_of",
     "FeatureExtractor",
     "extract_feature_matrix",
+    "Series",
     "FeatureSelector",
     "rank_families",
 ]

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.features.series import as_series
+
 __all__ = [
     "mean_value",
     "median_value",
@@ -31,11 +33,8 @@ __all__ = [
 ]
 
 
-def _clean(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size == 0:
-        return x
-    return np.nan_to_num(x, nan=0.0, posinf=0.0, neginf=0.0)
+def _clean(x) -> np.ndarray:
+    return as_series(x).x
 
 
 def mean_value(x: np.ndarray) -> float:

@@ -7,8 +7,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.features import frequency as fd
 from repro.features.registry import FeatureSpec, feature_registry
+from repro.features.series import Series
 
 __all__ = ["FeatureExtractor", "extract_feature_matrix"]
 
@@ -36,9 +36,6 @@ class FeatureExtractor:
         names = [s.name for s in self.specs]
         if len(set(names)) != len(names):
             raise ValueError("duplicate feature names in extractor")
-        object.__setattr__(
-            self, "_wants_spectrum",
-            any(s.family == "fft" for s in self.specs))
 
     @classmethod
     def full(cls) -> "FeatureExtractor":
@@ -63,6 +60,8 @@ class FeatureExtractor:
     def for_names(cls, names: Iterable[str]) -> "FeatureExtractor":
         """Extractor restricted to the given concrete feature names."""
         wanted = list(names)
+        if not wanted:
+            raise ValueError("no feature names given")
         by_name = {s.name: s for s in feature_registry()}
         missing = [n for n in wanted if n not in by_name]
         if missing:
@@ -87,24 +86,22 @@ class FeatureExtractor:
     def extract(self, signal: np.ndarray) -> np.ndarray:
         """Feature vector for one signal (finite float64, shape ``(F,)``).
 
-        When the extractor carries FFT-family specs, the magnitude
-        spectrum is computed once and shared across all of them (via
-        :func:`repro.features.frequency.shared_spectrum`); each feature
-        value stays bit-identical to computing it standalone.
+        The signal is cleaned once into a :class:`~repro.features.series.
+        Series` that every feature reads, so intermediates several
+        features share (the spectrum, autocorrelations, the entropies'
+        tolerance matrix, ...) are computed once; each value is
+        bit-identical to ``spec.compute(signal)`` on its own.
         """
-        signal = np.asarray(signal, dtype=np.float64).ravel()
-        if self._wants_spectrum:
-            with fd.shared_spectrum(signal):
-                return np.array([spec.compute(signal) for spec in self.specs])
-        return np.array([spec.compute(signal) for spec in self.specs])
+        series = Series(signal)
+        return np.array([spec.compute(series) for spec in self.specs])
 
     def extract_many(self, signals: Sequence[np.ndarray]) -> np.ndarray:
         """Feature matrix ``(N, F)`` for a batch of signals.
 
         Row ``i`` is exactly ``extract(signals[i])`` — the batch surface
         exists so callers (corpus extraction, the detector stack, the
-        eval protocols) hit the shared-spectrum fast path per signal
-        without writing their own loop.
+        eval protocols) share intermediates per signal without writing
+        their own loop.
         """
         if len(signals) == 0:
             return np.zeros((0, self.n_features))

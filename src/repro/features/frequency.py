@@ -9,9 +9,9 @@ scipy versions removed ``scipy.signal.ricker``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
+
+from repro.features.series import Series, as_series
 
 __all__ = [
     "fft_coefficient_abs",
@@ -23,61 +23,33 @@ __all__ = [
     "cwt_ricker",
     "cwt_energy",
     "cwt_peak_width",
-    "shared_spectrum",
 ]
 
 
-def _clean(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    return np.nan_to_num(x, nan=0.0, posinf=0.0, neginf=0.0)
+def _spectrum(s: Series) -> tuple[np.ndarray, float]:
+    """``(magnitude, its sum)``: the one-sided magnitude spectrum of the
+    mean-removed signal, computed once per series."""
+    return s.memo("spectrum", _compute_spectrum, s)
 
 
-def _compute_magnitude_spectrum(x: np.ndarray) -> np.ndarray:
-    x = _clean(x)
-    if x.size < 2:
-        return np.zeros(1)
-    return np.abs(np.fft.rfft(x - x.mean()))
+def _compute_spectrum(s: Series) -> tuple[np.ndarray, float]:
+    x = s.x
+    mag = np.zeros(1) if x.size < 2 else np.abs(np.fft.rfft(x - s.mean()))
+    return mag, mag.sum()
 
 
-# (signal, spectrum) installed by shared_spectrum(); every FFT feature of
-# the Table-I family starts from this spectrum, so an extractor sweeping
-# many FFT specs over one segment can compute the rfft once.
-_active_spectrum: tuple[np.ndarray, np.ndarray] | None = None
-
-
-@contextmanager
-def shared_spectrum(x: np.ndarray):
-    """Compute the magnitude spectrum of *x* once and share it.
-
-    Inside the context, any FFT feature called on the *same array object*
-    reuses the precomputed spectrum instead of re-running the rfft.  The
-    shared value is the output of the exact computation each feature
-    would have performed itself, so every feature value is bit-identical
-    with or without the context.  Contexts nest; other signals are
-    unaffected.
-    """
-    global _active_spectrum
-    previous = _active_spectrum
-    _active_spectrum = (x, _compute_magnitude_spectrum(x))
-    try:
-        yield
-    finally:
-        _active_spectrum = previous
-
-
-def _magnitude_spectrum(x: np.ndarray) -> np.ndarray:
-    """One-sided magnitude spectrum of the mean-removed signal."""
-    active = _active_spectrum
-    if active is not None and active[0] is x:
-        return active[1]
-    return _compute_magnitude_spectrum(x)
+def _centroid(mag: np.ndarray, total) -> tuple[np.ndarray, float]:
+    """``(relative frequency of each bin, spectral centroid)``."""
+    n_fft = 2 * (mag.size - 1) if mag.size > 1 else 1
+    freqs = np.arange(mag.size) / max(n_fft, 1)
+    return freqs, np.sum(freqs * mag) / total
 
 
 # ---------------------------------------------------------------------------
 # FFT family
 # ---------------------------------------------------------------------------
 
-def fft_coefficient_abs(x: np.ndarray, k: int = 1) -> float:
+def fft_coefficient_abs(x: np.ndarray | Series, k: int = 1) -> float:
     """Magnitude of the k-th FFT coefficient, energy-normalized.
 
     Normalizing by the total spectral magnitude makes the coefficient a
@@ -86,39 +58,34 @@ def fft_coefficient_abs(x: np.ndarray, k: int = 1) -> float:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    mag = _magnitude_spectrum(x)
-    total = mag.sum()
+    mag, total = _spectrum(as_series(x))
     if total < 1e-300 or k >= mag.size:
         return 0.0
     return float(mag[k] / total)
 
 
-def fft_spectral_centroid(x: np.ndarray) -> float:
+def fft_spectral_centroid(x: np.ndarray | Series) -> float:
     """Centroid of the magnitude spectrum in relative frequency (0..0.5)."""
-    mag = _magnitude_spectrum(x)
-    total = mag.sum()
+    s = as_series(x)
+    mag, total = _spectrum(s)
     if total < 1e-300:
         return 0.0
-    n_fft = 2 * (mag.size - 1) if mag.size > 1 else 1
-    freqs = np.arange(mag.size) / max(n_fft, 1)
-    return float(np.sum(freqs * mag) / total)
+    return float(s.memo("centroid", _centroid, mag, total)[1])
 
 
-def fft_spectral_spread(x: np.ndarray) -> float:
+def fft_spectral_spread(x: np.ndarray | Series) -> float:
     """Standard deviation of the spectrum around its centroid."""
-    mag = _magnitude_spectrum(x)
-    total = mag.sum()
+    s = as_series(x)
+    mag, total = _spectrum(s)
     if total < 1e-300:
         return 0.0
-    n_fft = 2 * (mag.size - 1) if mag.size > 1 else 1
-    freqs = np.arange(mag.size) / max(n_fft, 1)
-    centroid = np.sum(freqs * mag) / total
+    freqs, centroid = s.memo("centroid", _centroid, mag, total)
     return float(np.sqrt(np.sum(((freqs - centroid) ** 2) * mag) / total))
 
 
-def fft_spectral_entropy(x: np.ndarray) -> float:
+def fft_spectral_entropy(x: np.ndarray | Series) -> float:
     """Shannon entropy of the normalized power spectrum (nats)."""
-    mag = _magnitude_spectrum(x)
+    mag = _spectrum(as_series(x))[0]
     power = mag * mag
     total = power.sum()
     if total < 1e-300:
@@ -128,9 +95,9 @@ def fft_spectral_entropy(x: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def fft_peak_frequency_bin(x: np.ndarray) -> float:
+def fft_peak_frequency_bin(x: np.ndarray | Series) -> float:
     """Relative frequency (0..0.5) of the strongest non-DC component."""
-    mag = _magnitude_spectrum(x)
+    mag = _spectrum(as_series(x))[0]
     if mag.size < 2:
         return 0.0
     k = int(np.argmax(mag[1:])) + 1
@@ -155,44 +122,50 @@ def ricker_wavelet(points: int, width: float) -> np.ndarray:
     return norm * (1.0 - (t * t) / (a * a)) * gauss
 
 
-def cwt_ricker(x: np.ndarray, widths: tuple[float, ...] = (2.0, 5.0, 10.0, 20.0)
+def _ricker_response(x: np.ndarray, width: float) -> np.ndarray:
+    points = min(10 * int(np.ceil(width)), max(x.size, 1))
+    return np.convolve(x, ricker_wavelet(points, width), mode="same")
+
+
+def cwt_ricker(x: np.ndarray | Series,
+               widths: tuple[float, ...] = (2.0, 5.0, 10.0, 20.0)
                ) -> np.ndarray:
-    """Continuous wavelet transform, one row per width (same length as x)."""
-    x = _clean(x)
-    if x.size == 0:
+    """Continuous wavelet transform, one row per width (same length as x).
+
+    Each width's response is computed once per series and shared by
+    every CWT feature that reads it.
+    """
+    s = as_series(x)
+    if s.x.size == 0:
         return np.zeros((len(widths), 0))
-    rows = []
-    for w in widths:
-        points = min(10 * int(np.ceil(w)), max(x.size, 1))
-        kernel = ricker_wavelet(points, w)
-        rows.append(np.convolve(x, kernel, mode="same"))
-    return np.stack(rows)
+    return np.stack([s.memo(("cwt", w), _ricker_response, s.x, w)
+                     for w in widths])
 
 
-def cwt_energy(x: np.ndarray, width: float = 5.0) -> float:
+def cwt_energy(x: np.ndarray | Series, width: float = 5.0) -> float:
     """Mean squared CWT response at *width*, normalized by signal energy.
 
     The normalization removes raw amplitude, leaving a scale-occupancy
     descriptor: how much of the signal's structure lives at this width.
     """
-    x = _clean(x)
-    if x.size < 2:
+    s = as_series(x)
+    if s.x.size < 2:
         return 0.0
-    energy = float(np.mean(x * x))
+    energy = float(s.mean_square())
     if energy < 1e-300:
         return 0.0
-    row = cwt_ricker(x, (width,))[0]
+    row = s.memo(("cwt", width), _ricker_response, s.x, width)
     return float(np.mean(row * row) / energy)
 
 
-def cwt_peak_width(x: np.ndarray,
+def cwt_peak_width(x: np.ndarray | Series,
                    widths: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0, 32.0)
                    ) -> float:
     """The width whose CWT response is strongest (dominant event scale)."""
-    x = _clean(x)
-    if x.size < 2:
+    s = as_series(x)
+    if s.x.size < 2:
         return 0.0
-    responses = cwt_ricker(x, widths)
+    responses = cwt_ricker(s, widths)
     scores = np.max(np.abs(responses), axis=1)
     if float(scores.max()) < 1e-300:
         return 0.0

@@ -16,6 +16,7 @@ in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -24,6 +25,7 @@ import numpy as np
 
 from repro.features import frequency as fd
 from repro.features import timedomain as td
+from repro.features.series import Series
 
 __all__ = [
     "FeatureSpec",
@@ -137,10 +139,14 @@ class FeatureSpec:
         """True when the family is one of the paper's Table-I rows."""
         return self.family in FAMILY_NAMES
 
-    def compute(self, signal: np.ndarray) -> float:
-        """Evaluate the feature on *signal*, guaranteeing a finite float."""
+    def compute(self, signal: np.ndarray | Series) -> float:
+        """Evaluate the feature on *signal*, guaranteeing a finite float.
+
+        *signal* is a raw array or a :class:`~repro.features.series.Series`
+        whose memoized intermediates the feature may share.
+        """
         value = float(self.func(signal, **self.params))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             return 0.0
         return value
 

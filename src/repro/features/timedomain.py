@@ -1,11 +1,14 @@
 """The 23 time-domain feature families of Table I, implemented from scratch.
 
-Every function takes a 1-D ``float64`` array and returns a scalar ``float``
-(or is parameterized by keyword arguments declared in the registry).  All
-functions are total: degenerate inputs (empty, constant, too short for the
-requested lag) return well-defined finite values rather than raising, since
-a segmenter occasionally produces very short gesture candidates and the
-classifier must still receive a finite feature vector.
+Every function takes a 1-D signal — a raw array, or a
+:class:`~repro.features.series.Series` whose cleaned copy and memoized
+intermediates it shares with the other features of the same signal —
+and returns a scalar ``float`` (or is parameterized by keyword arguments
+declared in the registry).  All functions are total: degenerate inputs
+(empty, constant, too short for the requested lag) return well-defined
+finite values rather than raising, since a segmenter occasionally
+produces very short gesture candidates and the classifier must still
+receive a finite feature vector.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from repro.features.series import Series, as_series
 
 __all__ = [
     "standard_deviation",
@@ -46,100 +51,91 @@ __all__ = [
 ]
 
 
-def _clean(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size == 0:
-        return x
-    return np.nan_to_num(x, nan=0.0, posinf=0.0, neginf=0.0)
+def _clip1(value) -> float:
+    """*value* clipped to ``[-1, 1]`` (NaN passes through)."""
+    return float(min(max(value, -1.0), 1.0))
 
 
 # ---------------------------------------------------------------------------
 # dispersion & location
 # ---------------------------------------------------------------------------
 
-def standard_deviation(x: np.ndarray) -> float:
+def standard_deviation(x: np.ndarray | Series) -> float:
     """Population standard deviation."""
-    x = _clean(x)
-    return float(np.std(x)) if x.size else 0.0
+    s = as_series(x)
+    return float(s.std()) if s.x.size else 0.0
 
 
-def variance(x: np.ndarray) -> float:
+def variance(x: np.ndarray | Series) -> float:
     """Population variance."""
-    x = _clean(x)
-    return float(np.var(x)) if x.size else 0.0
+    s = as_series(x)
+    return float(s.var()) if s.x.size else 0.0
 
 
-def count_above_mean(x: np.ndarray) -> float:
+def count_above_mean(x: np.ndarray | Series) -> float:
     """Fraction of samples strictly above the mean (length-normalized)."""
-    x = _clean(x)
-    if x.size == 0:
+    s = as_series(x)
+    if s.x.size == 0:
         return 0.0
-    return float(np.mean(x > x.mean()))
+    return float(np.mean(s.x > s.mean()))
 
 
-def count_below_mean(x: np.ndarray) -> float:
+def count_below_mean(x: np.ndarray | Series) -> float:
     """Fraction of samples strictly below the mean (length-normalized)."""
-    x = _clean(x)
-    if x.size == 0:
+    s = as_series(x)
+    if s.x.size == 0:
         return 0.0
-    return float(np.mean(x < x.mean()))
+    return float(np.mean(s.x < s.mean()))
 
 
-def last_location_of_maximum(x: np.ndarray) -> float:
+def last_location_of_maximum(x: np.ndarray | Series) -> float:
     """Relative index (0..1) of the last occurrence of the maximum."""
-    x = _clean(x)
+    x = as_series(x).x
     if x.size == 0:
         return 0.0
     return float((x.size - 1 - np.argmax(x[::-1])) / x.size)
 
 
-def first_location_of_maximum(x: np.ndarray) -> float:
+def first_location_of_maximum(x: np.ndarray | Series) -> float:
     """Relative index (0..1) of the first occurrence of the maximum."""
-    x = _clean(x)
+    x = as_series(x).x
     if x.size == 0:
         return 0.0
     return float(np.argmax(x) / x.size)
 
 
-def first_location_of_minimum(x: np.ndarray) -> float:
+def first_location_of_minimum(x: np.ndarray | Series) -> float:
     """Relative index (0..1) of the first occurrence of the minimum."""
-    x = _clean(x)
+    x = as_series(x).x
     if x.size == 0:
         return 0.0
     return float(np.argmin(x) / x.size)
 
 
-def quantile(x: np.ndarray, q: float = 0.5) -> float:
-    """The q-quantile of the series."""
+def quantile(x: np.ndarray | Series, q: float = 0.5) -> float:
+    """The q-quantile of the series.
+
+    One ``np.quantile`` call per *q*: the vectorized ``np.quantile(x, qs)``
+    can differ from it in the sign of a zero.
+    """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be within [0, 1], got {q}")
-    x = _clean(x)
+    x = as_series(x).x
     if x.size == 0:
         return 0.0
     return float(np.quantile(x, q))
 
 
-def series_length(x: np.ndarray) -> float:
+def series_length(x: np.ndarray | Series) -> float:
     """Number of samples ("Length" in Table I)."""
-    return float(np.asarray(x).size)
+    return float(as_series(x).x.size)
 
 
 # ---------------------------------------------------------------------------
 # correlation structure
 # ---------------------------------------------------------------------------
 
-def autocorrelation(x: np.ndarray, lag: int = 1) -> float:
-    """Sample autocorrelation at *lag* (0 for degenerate input).
-
-    Computed as the Pearson correlation of the series with its lagged
-    self, normalizing by both segments' own variances: Cauchy-Schwarz
-    then bounds the value to ``[-1, 1]`` for every input, where the
-    whole-series-variance estimator can exceed 1 at large lags on short,
-    spiky series.
-    """
-    if lag < 1:
-        raise ValueError(f"lag must be >= 1, got {lag}")
-    x = _clean(x)
+def _autocorrelation(x: np.ndarray, lag: int) -> float:
     n = x.size
     if n <= lag + 1:
         return 0.0
@@ -154,10 +150,30 @@ def autocorrelation(x: np.ndarray, lag: int = 1) -> float:
     if denominator < 1e-300:
         return 0.0
     cov = np.mean((head - head.mean()) * (tail - tail.mean()))
-    return float(np.clip(cov / denominator, -1.0, 1.0))
+    return _clip1(cov / denominator)
 
 
-def autocorrelation_relative(x: np.ndarray, fraction: float = 0.5) -> float:
+def _acf(s: Series, lag: int) -> float:
+    """:func:`autocorrelation` at *lag*, memoized per lag."""
+    return s.memo(("acf", lag), _autocorrelation, s.x, lag)
+
+
+def autocorrelation(x: np.ndarray | Series, lag: int = 1) -> float:
+    """Sample autocorrelation at *lag* (0 for degenerate input).
+
+    Computed as the Pearson correlation of the series with its lagged
+    self, normalizing by both segments' own variances: Cauchy-Schwarz
+    then bounds the value to ``[-1, 1]`` for every input, where the
+    whole-series-variance estimator can exceed 1 at large lags on short,
+    spiky series.
+    """
+    if lag < 1:
+        raise ValueError(f"lag must be >= 1, got {lag}")
+    return _acf(as_series(x), lag)
+
+
+def autocorrelation_relative(x: np.ndarray | Series,
+                             fraction: float = 0.5) -> float:
     """Autocorrelation at a lag that is a *fraction* of the series length.
 
     Gesture repetitions scale the whole waveform in time (a double circle
@@ -166,48 +182,62 @@ def autocorrelation_relative(x: np.ndarray, fraction: float = 0.5) -> float:
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    x = _clean(x)
-    lag = max(1, int(round(fraction * x.size)))
-    if x.size <= lag + 1:
+    s = as_series(x)
+    lag = max(1, int(round(fraction * s.x.size)))
+    if s.x.size <= lag + 1:
         return 0.0
-    return autocorrelation(x, lag)
+    return _acf(s, lag)
 
 
-def partial_autocorrelation(x: np.ndarray, lag: int = 1) -> float:
+def _durbin_levinson(s: Series, k: int) -> np.ndarray:
+    """Row *k* of the Durbin-Levinson table, ``phi[k, 0..k]``.
+
+    Row *k* extends row ``k - 1``; rows are memoized, so partial
+    autocorrelations at lags 1..L cost one recursion to L.
+    """
+    rho = np.array([1.0] + [_acf(s, j) for j in range(1, k + 1)])
+    phi = np.zeros(k + 1)
+    if k == 1:
+        phi[1] = rho[1]
+        return phi
+    prev = s.memo(("pacf", k - 1), _durbin_levinson, s, k - 1)
+    num = rho[k] - np.dot(prev[1:k], rho[1:k][::-1])
+    den = 1.0 - np.dot(prev[1:k], rho[1:k])
+    phi[k] = num / den if abs(den) > 1e-12 else 0.0
+    for j in range(1, k):
+        phi[j] = prev[j] - phi[k] * prev[k - j]
+    return phi
+
+
+def partial_autocorrelation(x: np.ndarray | Series, lag: int = 1) -> float:
     """Partial autocorrelation at *lag* via the Durbin-Levinson recursion."""
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
-    x = _clean(x)
-    if x.size <= lag + 1:
+    s = as_series(x)
+    if s.x.size <= lag + 1:
         return 0.0
-    rho = np.array([1.0] + [autocorrelation(x, k) for k in range(1, lag + 1)])
-    # Durbin-Levinson
-    phi = np.zeros((lag + 1, lag + 1))
-    phi[1, 1] = rho[1]
-    for k in range(2, lag + 1):
-        num = rho[k] - np.dot(phi[k - 1, 1:k], rho[1:k][::-1])
-        den = 1.0 - np.dot(phi[k - 1, 1:k], rho[1:k])
-        phi[k, k] = num / den if abs(den) > 1e-12 else 0.0
-        for j in range(1, k):
-            phi[k, j] = phi[k - 1, j] - phi[k, k] * phi[k - 1, k - j]
-    return float(np.clip(phi[lag, lag], -1.0, 1.0))
+    return _clip1(s.memo(("pacf", lag), _durbin_levinson, s, lag)[lag])
 
 
-def ar_coefficient(x: np.ndarray, k: int = 1, order: int = 4) -> float:
+def _ar_fit(x: np.ndarray, order: int) -> np.ndarray:
+    n = x.size
+    rows = np.stack([x[order - j - 1: n - j - 1] for j in range(order)], axis=1)
+    design = np.column_stack([np.ones(len(rows)), rows])
+    target = x[order:]
+    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
+    return coeffs
+
+
+def ar_coefficient(x: np.ndarray | Series, k: int = 1, order: int = 4) -> float:
     """Coefficient *k* of a least-squares AR(*order*) model (k=0 is intercept)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if not 0 <= k <= order:
         raise ValueError(f"k must be within [0, {order}], got {k}")
-    x = _clean(x)
-    n = x.size
-    if n <= order + 2:
+    s = as_series(x)
+    if s.x.size <= order + 2:
         return 0.0
-    rows = np.stack([x[order - j - 1: n - j - 1] for j in range(order)], axis=1)
-    design = np.column_stack([np.ones(len(rows)), rows])
-    target = x[order:]
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-    value = float(coeffs[k])
+    value = float(s.memo(("ar", order), _ar_fit, s.x, order)[k])
     return value if math.isfinite(value) else 0.0
 
 
@@ -215,58 +245,75 @@ def ar_coefficient(x: np.ndarray, k: int = 1, order: int = 4) -> float:
 # entropy & complexity
 # ---------------------------------------------------------------------------
 
-def _phi_counts(x: np.ndarray, m: int, r: float, count_self: bool) -> np.ndarray:
-    """Per-template counts of m-length template matches within tolerance r."""
-    n = x.size - m + 1
-    templates = np.lib.stride_tricks.sliding_window_view(x, m)
-    # Chebyshev distance between all template pairs, vectorized
-    diff = np.abs(templates[:, None, :] - templates[None, :, :]).max(axis=2)
-    matches = (diff <= r).sum(axis=1).astype(np.float64)
-    if not count_self:
-        matches -= 1.0
-    return np.maximum(matches, 0.0)
+# Both entropies compare templates (length-m windows) by Chebyshev
+# distance: templates i and j match within r iff |x[i+k] - x[j+k]| <= r
+# for every k < m.  That is the AND of m shifted diagonals of one pairwise
+# tolerance matrix, so one n x n boolean matrix per signal serves every
+# template length of both entropies.
+
+#: the entropies read at most this many samples (their cost is quadratic)
+_ENTROPY_MAX_SAMPLES = 4000
 
 
-def approximate_entropy(x: np.ndarray, m: int = 2, r_factor: float = 0.2) -> float:
+def _matches(s: Series, m: int, r_factor: float) -> np.ndarray | None:
+    """``[i, j]``: whether length-*m* templates i and j match within
+    ``r = r_factor * std``; memoized per m, None when r < 1e-300."""
+    return s.memo(("matches", m, r_factor), _compute_matches, s, m, r_factor)
+
+
+def _compute_matches(s: Series, m: int, r_factor: float):
+    if m > 1:
+        shorter = _matches(s, m - 1, r_factor)
+        if shorter is None:
+            return None
+        tolerance = _matches(s, 1, r_factor)
+        return shorter[:-1, :-1] & tolerance[m - 1:, m - 1:]
+    x = s.x[:_ENTROPY_MAX_SAMPLES]
+    r = r_factor * (s.std() if x.size == s.x.size else np.std(x))
+    if r < 1e-300:
+        return None
+    d = np.subtract.outer(x, x)
+    np.abs(d, out=d)
+    return d <= r
+
+
+def approximate_entropy(x: np.ndarray | Series, m: int = 2,
+                        r_factor: float = 0.2) -> float:
     """ApEn(m, r) with tolerance ``r = r_factor * std(x)``."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    x = _clean(x)
-    n = x.size
-    if n < m + 2 or n > 4000:  # quadratic cost guard
-        x = x[:4000]
-        n = x.size
-        if n < m + 2:
-            return 0.0
-    r = r_factor * np.std(x)
-    if r < 1e-300:
+    s = as_series(x)
+    n = min(s.x.size, _ENTROPY_MAX_SAMPLES)
+    if n < m + 2 or _matches(s, 1, r_factor) is None:
         return 0.0
 
     def phi(mm: int) -> float:
-        counts = _phi_counts(x, mm, r, count_self=True)
+        counts = _matches(s, mm, r_factor).sum(axis=1).astype(np.float64)
         frac = counts / (n - mm + 1)
         return float(np.mean(np.log(np.maximum(frac, 1e-300))))
 
     return abs(phi(m) - phi(m + 1))
 
 
-def sample_entropy(x: np.ndarray, m: int = 2, r_factor: float = 0.2) -> float:
+def sample_entropy(x: np.ndarray | Series, m: int = 2,
+                   r_factor: float = 0.2) -> float:
     """SampEn(m, r) with tolerance ``r = r_factor * std(x)``."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    x = _clean(x)
-    n = x.size
-    if n > 4000:
-        x = x[:4000]
-        n = x.size
-    if n < m + 2:
+    s = as_series(x)
+    n = min(s.x.size, _ENTROPY_MAX_SAMPLES)
+    if n < m + 2 or _matches(s, 1, r_factor) is None:
         return 0.0
-    r = r_factor * np.std(x)
-    if r < 1e-300:
-        return 0.0
-    # B: m-length matches, A: (m+1)-length matches, excluding self-matches
-    b = _phi_counts(x[: n - 1], m, r, count_self=False).sum()
-    a = _phi_counts(x, m + 1, r, count_self=False).sum()
+
+    def pairs(matches: np.ndarray):
+        # matches per template, self-match excluded, summed
+        counts = matches.sum(axis=1).astype(np.float64) - 1.0
+        return np.maximum(counts, 0.0).sum()
+
+    # B: m-length matches among the templates of the first n - 1 samples,
+    # A: (m+1)-length matches, both excluding self-matches
+    b = pairs(_matches(s, m, r_factor)[:n - m, :n - m])
+    a = pairs(_matches(s, m + 1, r_factor))
     if b <= 0.0:
         return 0.0
     if a <= 0.0:
@@ -274,35 +321,37 @@ def sample_entropy(x: np.ndarray, m: int = 2, r_factor: float = 0.2) -> float:
     return float(-np.log(a / b))
 
 
-def complexity_invariant_distance(x: np.ndarray, normalize: bool = True) -> float:
+def complexity_invariant_distance(x: np.ndarray | Series,
+                                  normalize: bool = True) -> float:
     """CID (Batista et al. 2014): ``sqrt(sum(diff(x)^2))``, optionally z-normed."""
-    x = _clean(x)
+    s = as_series(x)
+    x = s.x
     if x.size < 2:
         return 0.0
     if normalize:
-        s = np.std(x)
-        if s < 1e-300:
+        std = s.std()
+        if std < 1e-300:
             return 0.0
-        x = (x - x.mean()) / s
+        x = (x - s.mean()) / std
     return float(np.sqrt(np.sum(np.diff(x) ** 2)))
 
 
-def c3(x: np.ndarray, lag: int = 1) -> float:
+def c3(x: np.ndarray | Series, lag: int = 1) -> float:
     """The c3 nonlinearity statistic (Schreiber & Schmitz 1997)."""
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
-    x = _clean(x)
+    x = as_series(x).x
     n = x.size
     if n <= 2 * lag:
         return 0.0
     return float(np.mean(x[2 * lag:] * x[lag:n - lag] * x[: n - 2 * lag]))
 
 
-def time_reversal_asymmetry(x: np.ndarray, lag: int = 1) -> float:
+def time_reversal_asymmetry(x: np.ndarray | Series, lag: int = 1) -> float:
     """Time-reversal asymmetry statistic at *lag*."""
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
-    x = _clean(x)
+    x = as_series(x).x
     n = x.size
     if n <= 2 * lag:
         return 0.0
@@ -316,15 +365,15 @@ def time_reversal_asymmetry(x: np.ndarray, lag: int = 1) -> float:
 # shape & runs
 # ---------------------------------------------------------------------------
 
-def kurtosis(x: np.ndarray) -> float:
+def kurtosis(x: np.ndarray | Series) -> float:
     """Excess kurtosis (Fisher definition)."""
-    x = _clean(x)
-    if x.size < 4:
+    s = as_series(x)
+    if s.x.size < 4:
         return 0.0
-    s = np.std(x)
-    if s < 1e-300:
+    std = s.std()
+    if std < 1e-300:
         return 0.0
-    return float(np.mean(((x - x.mean()) / s) ** 4) - 3.0)
+    return float(np.mean(((s.x - s.mean()) / std) ** 4) - 3.0)
 
 
 def _longest_run(mask: np.ndarray) -> int:
@@ -337,23 +386,27 @@ def _longest_run(mask: np.ndarray) -> int:
     return int((ends - starts).max())
 
 
-def longest_strike_above_mean(x: np.ndarray) -> float:
+def longest_strike_above_mean(x: np.ndarray | Series) -> float:
     """Longest run of consecutive samples above the mean (length-normalized)."""
-    x = _clean(x)
-    if x.size == 0:
+    s = as_series(x)
+    if s.x.size == 0:
         return 0.0
-    return _longest_run(x > x.mean()) / x.size
+    return _longest_run(s.x > s.mean()) / s.x.size
 
 
-def longest_strike_below_mean(x: np.ndarray) -> float:
+def longest_strike_below_mean(x: np.ndarray | Series) -> float:
     """Longest run of consecutive samples below the mean (length-normalized)."""
-    x = _clean(x)
-    if x.size == 0:
+    s = as_series(x)
+    if s.x.size == 0:
         return 0.0
-    return _longest_run(x < x.mean()) / x.size
+    return _longest_run(s.x < s.mean()) / s.x.size
 
 
-def number_of_peaks(x: np.ndarray, support: int = 3,
+def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
+    return np.convolve(x, np.ones(width) / width, mode="same")
+
+
+def number_of_peaks(x: np.ndarray | Series, support: int = 3,
                     smooth: int = 1) -> float:
     """Count of samples larger than their *support* neighbours on both sides.
 
@@ -366,9 +419,10 @@ def number_of_peaks(x: np.ndarray, support: int = 3,
         raise ValueError(f"support must be >= 1, got {support}")
     if smooth < 1:
         raise ValueError(f"smooth must be >= 1, got {smooth}")
-    x = _clean(x)
+    s = as_series(x)
+    x = s.x
     if smooth > 1 and x.size >= smooth:
-        x = np.convolve(x, np.ones(smooth) / smooth, mode="same")
+        x = s.memo(("smooth", smooth), _moving_average, x, smooth)
     n = x.size
     if n < 2 * support + 1:
         return 0.0
@@ -384,36 +438,40 @@ def number_of_peaks(x: np.ndarray, support: int = 3,
 # energy & change
 # ---------------------------------------------------------------------------
 
-def absolute_energy(x: np.ndarray) -> float:
+def absolute_energy(x: np.ndarray | Series) -> float:
     """Sum of squared values, normalized by length (mean power)."""
-    x = _clean(x)
-    if x.size == 0:
+    s = as_series(x)
+    if s.x.size == 0:
         return 0.0
-    return float(np.mean(x * x))
+    return float(s.mean_square())
 
 
-def mean_absolute_change(x: np.ndarray) -> float:
+def mean_absolute_change(x: np.ndarray | Series) -> float:
     """Mean of absolute first differences."""
-    x = _clean(x)
+    x = as_series(x).x
     if x.size < 2:
         return 0.0
     return float(np.mean(np.abs(np.diff(x))))
 
 
-def energy_ratio_by_chunks(x: np.ndarray, n_chunks: int = 10,
+def _chunks(x: np.ndarray, n_chunks: int) -> tuple[float, list]:
+    """``(total energy, chunks)``."""
+    return float(np.sum(x * x)), np.array_split(x, n_chunks)
+
+
+def energy_ratio_by_chunks(x: np.ndarray | Series, n_chunks: int = 10,
                            chunk: int = 0) -> float:
     """Energy of chunk *chunk* divided by total energy."""
     if n_chunks < 1:
         raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
     if not 0 <= chunk < n_chunks:
         raise ValueError(f"chunk must be within [0, {n_chunks}), got {chunk}")
-    x = _clean(x)
-    if x.size == 0:
+    s = as_series(x)
+    if s.x.size == 0:
         return 0.0
-    total = float(np.sum(x * x))
+    total, parts = s.memo(("chunks", n_chunks), _chunks, s.x, n_chunks)
     if total < 1e-300:
         return 0.0
-    parts = np.array_split(x, n_chunks)
     return float(np.sum(parts[chunk] ** 2) / total)
 
 
@@ -421,12 +479,12 @@ def energy_ratio_by_chunks(x: np.ndarray, n_chunks: int = 10,
 # trend & stationarity
 # ---------------------------------------------------------------------------
 
-def _linear_fit(x: np.ndarray) -> tuple[float, float]:
+def _linear_fit(x: np.ndarray, mean) -> tuple[float, float]:
     """(slope, r^2) of x against its sample index."""
     n = x.size
     t = np.arange(n, dtype=np.float64)
     t -= t.mean()
-    y = x - x.mean()
+    y = x - mean
     denom = np.sum(t * t)
     if denom < 1e-300:
         return 0.0, 0.0
@@ -438,23 +496,23 @@ def _linear_fit(x: np.ndarray) -> tuple[float, float]:
     return slope, float(min(ss_reg / ss_tot, 1.0))
 
 
-def linear_trend_slope(x: np.ndarray) -> float:
+def linear_trend_slope(x: np.ndarray | Series) -> float:
     """Slope of the least-squares line through the series."""
-    x = _clean(x)
-    if x.size < 2:
+    s = as_series(x)
+    if s.x.size < 2:
         return 0.0
-    return _linear_fit(x)[0]
+    return s.memo("linear_fit", _linear_fit, s.x, s.mean())[0]
 
 
-def linear_trend_r2(x: np.ndarray) -> float:
+def linear_trend_r2(x: np.ndarray | Series) -> float:
     """R^2 of the least-squares line through the series."""
-    x = _clean(x)
-    if x.size < 2:
+    s = as_series(x)
+    if s.x.size < 2:
         return 0.0
-    return _linear_fit(x)[1]
+    return s.memo("linear_fit", _linear_fit, s.x, s.mean())[1]
 
 
-def augmented_dickey_fuller(x: np.ndarray, max_lag: int = 1) -> float:
+def augmented_dickey_fuller(x: np.ndarray | Series, max_lag: int = 1) -> float:
     """ADF test statistic (t-ratio of the unit-root coefficient).
 
     A fixed-lag implementation of the augmented Dickey-Fuller regression
@@ -463,7 +521,7 @@ def augmented_dickey_fuller(x: np.ndarray, max_lag: int = 1) -> float:
     """
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-    x = _clean(x)
+    x = as_series(x).x
     n = x.size
     if n < max_lag + 8:
         return 0.0

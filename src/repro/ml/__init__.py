@@ -23,7 +23,7 @@ from repro.ml.cnn import Conv1dClassifier
 from repro.ml.dtw import KnnDtwClassifier, dtw_distance
 from repro.ml.hmm import GaussianHmm, HmmClassifier
 from repro.ml.serialize import deserialize_model, serialize_model
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, FlatTree, TreeStack
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.logistic import LogisticRegressionClassifier
 from repro.ml.naive_bayes import BernoulliNaiveBayes
@@ -45,6 +45,8 @@ __all__ = [
     "check_X_y",
     "encode_labels",
     "DecisionTreeClassifier",
+    "FlatTree",
+    "TreeStack",
     "RandomForestClassifier",
     "LogisticRegressionClassifier",
     "BernoulliNaiveBayes",

@@ -3,7 +3,9 @@
 This is the paper's workhorse classifier (Section IV-C2) and the source of
 the feature-importance feedback that drives feature selection (Section
 IV-C1).  Bootstrap resampling is implemented as integer sample weights so
-no resampled matrices are materialized.
+no resampled matrices are materialized.  Inference stacks the trees' flat
+arrays once (:class:`~repro.ml.tree.TreeStack`) and descends all of them
+together.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ml.base import check_X, check_X_y, encode_labels
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, TreeStack
 from repro.utils import derive_seed, ensure_rng
 
 __all__ = ["RandomForestClassifier"]
@@ -55,6 +57,9 @@ class RandomForestClassifier:
         init=False, repr=False, default_factory=list)
     feature_importances_: np.ndarray = field(init=False, repr=False, default=None)
     oob_score_: float | None = field(init=False, repr=False, default=None)
+    #: (the trees' FlatTree objects, their TreeStack), built on first use
+    _stacked: tuple | None = field(init=False, repr=False, default=None,
+                                   compare=False)
 
     def __post_init__(self) -> None:
         if self.n_estimators < 1:
@@ -108,14 +113,29 @@ class RandomForestClassifier:
         if not self.estimators_:
             raise RuntimeError("classifier is not fitted; call fit() first")
 
+    def _tree_stack(self) -> TreeStack:
+        """The estimators' :class:`TreeStack`, rebuilt only when a tree
+        was refitted or replaced."""
+        flats = [tree.tree_ for tree in self.estimators_]
+        if self._stacked is None or self._stacked[0] != flats:
+            self._stacked = (flats, TreeStack(flats))
+        return self._stacked[1]
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Mean leaf-histogram probability over trees, ``(N, K)``."""
+        """Mean leaf-histogram probability over trees, ``(N, K)``.
+
+        Leaf probabilities are summed in tree order (a running sum), so
+        the result equals the mean of the trees' own ``predict_proba``
+        bit for bit.
+        """
         self._check_fitted()
         X = check_X(X)
-        acc = np.zeros((len(X), len(self.classes_)))
-        for tree in self.estimators_:
-            acc += tree.predict_proba(X)
-        return acc / len(self.estimators_)
+        n_features = self.estimators_[0].n_features_
+        if X.shape[1] != n_features:
+            raise ValueError(
+                f"X has {X.shape[1]} features, forest was fit on {n_features}")
+        leaf = self._tree_stack().leaf_proba(X)
+        return np.add.accumulate(leaf, axis=0)[-1] / len(self.estimators_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted labels (majority soft vote)."""

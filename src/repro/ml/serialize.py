@@ -7,8 +7,9 @@ here round-trips through a plain-``dict`` representation:
     payload = serialize_model(model)      # JSON-compatible
     clone   = deserialize_model(payload)  # predicts identically
 
-Trees are flattened pre-order into parallel arrays; probabilities and
-predictions are bit-identical after a round trip.
+Trees are written as their pre-order parallel arrays
+(:class:`~repro.ml.tree.FlatTree`); probabilities and predictions are
+bit-identical after a round trip.
 """
 
 from __future__ import annotations
@@ -18,53 +19,14 @@ import numpy as np
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.logistic import LogisticRegressionClassifier
 from repro.ml.naive_bayes import BernoulliNaiveBayes
-from repro.ml.tree import DecisionTreeClassifier, _Node
+from repro.ml.tree import DecisionTreeClassifier, FlatTree
 
-__all__ = ["serialize_model", "deserialize_model"]
+__all__ = ["serialize_model", "deserialize_model", "n_features_in"]
 
 
 # ---------------------------------------------------------------------------
 # decision tree
 # ---------------------------------------------------------------------------
-
-def _flatten_tree(root: _Node) -> dict:
-    features: list[int] = []
-    thresholds: list[float] = []
-    lefts: list[int] = []
-    rights: list[int] = []
-    counts: list[list[float]] = []
-
-    def visit(node: _Node) -> int:
-        index = len(features)
-        features.append(int(node.feature))
-        thresholds.append(float(node.threshold))
-        counts.append([float(c) for c in (node.counts if node.counts is not None
-                                          else [])])
-        lefts.append(-1)
-        rights.append(-1)
-        if not node.is_leaf:
-            lefts[index] = visit(node.left)
-            rights[index] = visit(node.right)
-        return index
-
-    visit(root)
-    return {"features": features, "thresholds": thresholds,
-            "lefts": lefts, "rights": rights, "counts": counts}
-
-
-def _rebuild_tree(data: dict) -> _Node:
-    nodes = [
-        _Node(feature=int(f), threshold=float(t),
-              counts=np.asarray(c, dtype=np.float64))
-        for f, t, c in zip(data["features"], data["thresholds"],
-                           data["counts"])]
-    for i, (l, r) in enumerate(zip(data["lefts"], data["rights"])):
-        if l >= 0:
-            nodes[i].left = nodes[l]
-        if r >= 0:
-            nodes[i].right = nodes[r]
-    return nodes[0]
-
 
 def _classes_payload(classes: np.ndarray) -> dict:
     return {"values": [c.item() if hasattr(c, "item") else c
@@ -82,7 +44,8 @@ def _classes_restore(payload: dict) -> np.ndarray:
 
 
 def _serialize_tree(model: DecisionTreeClassifier) -> dict:
-    if model._root is None:
+    tree = model.tree_
+    if tree is None:
         raise ValueError("cannot serialize an unfitted tree")
     return {
         "kind": "decision_tree",
@@ -96,7 +59,11 @@ def _serialize_tree(model: DecisionTreeClassifier) -> dict:
         "classes": _classes_payload(model.classes_),
         "n_features": int(model.n_features_),
         "importances": [float(v) for v in model.feature_importances_],
-        "tree": _flatten_tree(model._root),
+        "tree": {"features": tree.feature.tolist(),
+                 "thresholds": tree.threshold.tolist(),
+                 "lefts": tree.left.tolist(),
+                 "rights": tree.right.tolist(),
+                 "counts": tree.counts.tolist()},
     }
 
 
@@ -105,7 +72,10 @@ def _deserialize_tree(payload: dict) -> DecisionTreeClassifier:
     model.classes_ = _classes_restore(payload["classes"])
     model.n_features_ = payload["n_features"]
     model.feature_importances_ = np.asarray(payload["importances"])
-    model._root = _rebuild_tree(payload["tree"])
+    data = payload["tree"]
+    model.tree_ = FlatTree.from_lists(data["features"], data["thresholds"],
+                                      data["lefts"], data["rights"],
+                                      data["counts"])
     return model
 
 
@@ -210,6 +180,19 @@ _DESERIALIZERS = {
     "logistic_regression": _deserialize_logistic,
     "bernoulli_nb": _deserialize_nb,
 }
+
+
+def n_features_in(model) -> int:
+    """Number of feature columns a fitted repro.ml classifier reads."""
+    if isinstance(model, RandomForestClassifier):
+        model = model.estimators_[0]
+    if isinstance(model, DecisionTreeClassifier):
+        return int(model.n_features_)
+    if isinstance(model, LogisticRegressionClassifier):
+        return int(model.coef_.shape[0])
+    if isinstance(model, BernoulliNaiveBayes):
+        return int(model.thresholds_.size)
+    raise TypeError(f"unknown model type {type(model).__name__}")
 
 
 def serialize_model(model) -> dict:

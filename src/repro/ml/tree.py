@@ -4,33 +4,109 @@ A vectorized implementation: at each node the best split over a (possibly
 random) feature subset is found by sorting each candidate column once and
 scanning cumulative class counts, so split search costs
 ``O(F * n log n)`` per node rather than ``O(F * n^2)``.
+
+A fitted tree is a :class:`FlatTree`: its nodes in pre-order as parallel
+arrays, the layout :mod:`repro.ml.serialize` writes.  Prediction walks
+every row down together, one numpy step per level; :class:`TreeStack`
+does the same for many trees at once (the forest's inference).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from repro.ml.base import check_X, check_X_y, encode_labels
 from repro.utils import ensure_rng
 
-__all__ = ["DecisionTreeClassifier"]
+__all__ = ["DecisionTreeClassifier", "FlatTree", "TreeStack"]
 
 
-@dataclass
-class _Node:
-    """One tree node; leaves have ``feature == -1``."""
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    counts: np.ndarray | None = None  # class histogram at the node
+@dataclass(frozen=True, eq=False)
+class FlatTree:
+    """A fitted tree as pre-order parallel arrays; node 0 is the root.
+
+    Internal node ``i`` sends a row to ``left[i]`` when its value in
+    column ``feature[i]`` is ``<= threshold[i]``, else to ``right[i]``;
+    leaves have ``feature``, ``left`` and ``right`` all ``-1``.
+    ``counts[i]`` is the weighted class histogram of the training rows
+    that reached node ``i``.  Trees compare by identity.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def from_lists(cls, feature, threshold, left, right,
+                   counts) -> "FlatTree":
+        return cls(feature=np.asarray(feature, dtype=np.int64),
+                   threshold=np.asarray(threshold, dtype=np.float64),
+                   left=np.asarray(left, dtype=np.int64),
+                   right=np.asarray(right, dtype=np.int64),
+                   counts=np.asarray(counts, dtype=np.float64))
 
     @property
-    def is_leaf(self) -> bool:
-        """True when the node has no split."""
-        return self.feature < 0
+    def n_nodes(self) -> int:
+        return int(self.feature.size)
+
+    @cached_property
+    def stack(self) -> "TreeStack":
+        """This tree alone as a :class:`TreeStack`, built on first use."""
+        return TreeStack([self])
+
+
+class TreeStack:
+    """Several trees' flat arrays concatenated for a joint descent.
+
+    :meth:`leaf_proba` starts one cursor per (tree, row) at the trees'
+    roots and advances all of them together, one numpy step per level;
+    leaves point at themselves, so cursors that arrive early stay put.
+    A leaf's probability is its normalized class histogram (uniform when
+    the histogram is empty), exactly what a recursive descent returns.
+    """
+
+    def __init__(self, trees: Sequence[FlatTree]) -> None:
+        sizes = [t.n_nodes for t in trees]
+        self.roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        feature = np.concatenate([t.feature for t in trees])
+        internal = feature >= 0
+        nodes = np.arange(feature.size, dtype=np.int64)
+        left = np.concatenate([t.left + r for t, r in zip(trees, self.roots)])
+        right = np.concatenate([t.right + r for t, r in zip(trees, self.roots)])
+        self.feature = np.where(internal, feature, 0)
+        self.threshold = np.concatenate([t.threshold for t in trees])
+        self.left = np.where(internal, left, nodes)
+        self.right = np.where(internal, right, nodes)
+        counts = np.concatenate([t.counts for t in trees])
+        totals = counts.sum(axis=1, keepdims=True)
+        filled = totals[:, 0] > 0
+        self.proba = counts / np.where(filled[:, None], totals, 1.0)
+        self.proba[~filled] = 1.0 / counts.shape[1]
+        # levels below the roots, i.e. steps of the deepest descent
+        self.depth = 0
+        level = self.roots[internal[self.roots]]
+        while level.size:
+            self.depth += 1
+            level = np.concatenate([left[level], right[level]])
+            level = level[internal[level]]
+
+    def leaf_proba(self, X: np.ndarray) -> np.ndarray:
+        """``(n_trees, len(X), n_classes)`` leaf probabilities."""
+        n, width = X.shape
+        values = X.ravel()
+        offsets = np.arange(0, n * width, width)
+        cursor = self.roots[:, None].repeat(n, axis=1)
+        for _ in range(self.depth):
+            go_left = (values[offsets + self.feature[cursor]]
+                       <= self.threshold[cursor])
+            cursor = np.where(go_left, self.left[cursor], self.right[cursor])
+        return self.proba[cursor]
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -69,8 +145,7 @@ class DecisionTreeClassifier:
     classes_: np.ndarray = field(init=False, repr=False, default=None)
     n_features_: int = field(init=False, repr=False, default=0)
     feature_importances_: np.ndarray = field(init=False, repr=False, default=None)
-    _root: _Node | None = field(init=False, repr=False, default=None)
-    _n_nodes: int = field(init=False, repr=False, default=0)
+    tree_: FlatTree | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         if self.max_depth is not None and self.max_depth < 1:
@@ -127,9 +202,10 @@ class DecisionTreeClassifier:
         rng = ensure_rng(self.random_state)
         self.feature_importances_ = np.zeros(self.n_features_)
         active = weights > 0
-        self._n_nodes = 0
-        self._root = self._grow(X[active], codes[active], weights[active],
-                                n_classes, depth=0, rng=rng)
+        nodes: tuple[list, ...] = ([], [], [], [], [])
+        self._grow(X[active], codes[active], weights[active],
+                   n_classes, depth=0, rng=rng, nodes=nodes)
+        self.tree_ = FlatTree.from_lists(*nodes)
         total = self.feature_importances_.sum()
         if total > 0:
             self.feature_importances_ = self.feature_importances_ / total
@@ -140,11 +216,18 @@ class DecisionTreeClassifier:
         return np.bincount(codes, weights=weights, minlength=n_classes)
 
     def _grow(self, X: np.ndarray, codes: np.ndarray, weights: np.ndarray,
-              n_classes: int, depth: int,
-              rng: np.random.Generator) -> _Node:
-        self._n_nodes += 1
+              n_classes: int, depth: int, rng: np.random.Generator,
+              nodes: tuple[list, ...]) -> int:
+        """Grow the subtree of these rows into the pre-order node lists
+        ``(feature, threshold, left, right, counts)``; returns its root."""
+        features, thresholds, lefts, rights, all_counts = nodes
+        node = len(features)
         counts = self._class_counts(codes, weights, n_classes)
-        node = _Node(counts=counts)
+        features.append(-1)
+        thresholds.append(0.0)
+        lefts.append(-1)
+        rights.append(-1)
+        all_counts.append(counts)
         n_eff = weights.sum()
         if (len(X) < self.min_samples_split
                 or (self.max_depth is not None and depth >= self.max_depth)
@@ -155,13 +238,15 @@ class DecisionTreeClassifier:
         if best is None:
             return node
         feature, threshold, gain, left_mask = best
-        node.feature = feature
-        node.threshold = threshold
+        features[node] = feature
+        thresholds[node] = threshold
         self.feature_importances_[feature] += gain * n_eff
-        node.left = self._grow(X[left_mask], codes[left_mask],
-                               weights[left_mask], n_classes, depth + 1, rng)
-        node.right = self._grow(X[~left_mask], codes[~left_mask],
-                                weights[~left_mask], n_classes, depth + 1, rng)
+        lefts[node] = self._grow(X[left_mask], codes[left_mask],
+                                 weights[left_mask], n_classes, depth + 1,
+                                 rng, nodes)
+        rights[node] = self._grow(X[~left_mask], codes[~left_mask],
+                                  weights[~left_mask], n_classes, depth + 1,
+                                  rng, nodes)
         return node
 
     def _best_split(self, X: np.ndarray, codes: np.ndarray,
@@ -228,7 +313,7 @@ class DecisionTreeClassifier:
 
     # ------------------------------------------------------------------
     def _check_fitted(self) -> None:
-        if self._root is None:
+        if self.tree_ is None:
             raise RuntimeError("classifier is not fitted; call fit() first")
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -238,23 +323,7 @@ class DecisionTreeClassifier:
         if X.shape[1] != self.n_features_:
             raise ValueError(
                 f"X has {X.shape[1]} features, tree was fit on {self.n_features_}")
-        out = np.zeros((len(X), len(self.classes_)))
-        self._predict_into(self._root, X, np.arange(len(X)), out)
-        return out
-
-    def _predict_into(self, node: _Node, X: np.ndarray,
-                      idx: np.ndarray, out: np.ndarray) -> None:
-        if idx.size == 0:
-            return
-        if node.is_leaf:
-            total = node.counts.sum()
-            proba = (node.counts / total) if total > 0 else (
-                np.ones_like(node.counts) / len(node.counts))
-            out[idx] = proba
-            return
-        go_left = X[idx, node.feature] <= node.threshold
-        self._predict_into(node.left, X, idx[go_left], out)
-        self._predict_into(node.right, X, idx[~go_left], out)
+        return self.tree_.stack.leaf_proba(X)[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted labels."""
@@ -268,4 +337,4 @@ class DecisionTreeClassifier:
     @property
     def n_nodes(self) -> int:
         """Number of nodes grown (diagnostics)."""
-        return self._n_nodes
+        return self.tree_.n_nodes if self.tree_ is not None else 0

@@ -4,9 +4,10 @@ Usage (from the repo root)::
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Only run this when the physics or the pipeline behavior is intentionally
-changed; the resulting ``fig3_waveforms.npz`` / ``stream_traces.json``
-diffs are the review artifacts that show what moved.
+Only run this when the physics, the pipeline behavior, the feature values,
+the forest or the model format is intentionally changed; the resulting
+``fig3_waveforms.npz`` / ``stream_traces.json`` / ``classify_traces.json``
+/ ``model_pin.json`` diffs are the review artifacts that show what moved.
 """
 
 from __future__ import annotations
@@ -19,6 +20,14 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
 from tests.golden.cases import GOLDEN_PATH, build_golden_scenes  # noqa: E402
+from tests.golden.classify_cases import (  # noqa: E402
+    CLASSIFY_TRACES_PATH,
+    MODEL_PIN_PATH,
+    build_model_pin,
+    build_traces,
+    write_model_pin,
+    write_traces as write_classify_traces,
+)
 from tests.golden.robustness_fixture import (  # noqa: E402
     ROBUSTNESS_CURVE_PATH,
     build_sweep_inputs,
@@ -48,6 +57,14 @@ def main() -> int:
     n_events = sum(len(lines) for lines in traces.values())
     print(f"wrote {len(traces)} event traces ({n_events} events) "
           f"-> {STREAM_TRACES_PATH}")
+
+    classify = build_traces()
+    write_classify_traces(classify)
+    print(f"wrote {len(classify['features'])} feature rows and "
+          f"{len(classify['events'])} detector event traces "
+          f"-> {CLASSIFY_TRACES_PATH}")
+    write_model_pin(build_model_pin())
+    print(f"wrote model-format pin -> {MODEL_PIN_PATH}")
 
     corpus, schedule = build_sweep_inputs()
     payload = run_sweep(corpus, schedule, block_size=1)

@@ -8,13 +8,28 @@ from hypothesis.extra.numpy import arrays
 from repro.features import frequency as fd
 from repro.features import timedomain as td
 from repro.features.extractor import FeatureExtractor
-from repro.features.registry import feature_registry
+from repro.features.registry import extended_registry, feature_registry
 
 signals = arrays(
     dtype=np.float64,
     shape=st.integers(min_value=0, max_value=150),
     elements=st.floats(min_value=-1e5, max_value=1e5,
                        allow_nan=False, allow_infinity=False))
+
+# inputs at the edges of the families' guards: signed zeros, NaN, ±inf,
+# denormals, and heavy ties (values from a three-element alphabet)
+_edge_values = st.sampled_from(
+    [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+     2.2250738585072014e-308, 1.0, 2.0])
+_tie_values = st.sampled_from([0.0, 1.0, 3.0])
+adversarial_signals = st.one_of(
+    arrays(dtype=np.float64, shape=st.integers(min_value=0, max_value=600),
+           elements=st.one_of(
+               st.floats(min_value=-1e6, max_value=1e6,
+                         allow_nan=False, allow_infinity=False),
+               _edge_values, _tie_values)),
+    arrays(dtype=np.float64, shape=st.integers(min_value=0, max_value=600),
+           elements=_tie_values))
 
 positive_signals = arrays(
     dtype=np.float64,
@@ -38,6 +53,39 @@ def test_extractor_vector_finite_and_stable(x):
     v2 = ext.extract(x)
     assert np.all(np.isfinite(v1))
     np.testing.assert_array_equal(v1, v2)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+# a subset in non-registry order: spectrum, entropy, correlation and
+# chunk features before the moments they share
+_SUBSET = ("fft_spectral_spread", "sample_entropy",
+           "partial_autocorrelation__lag=3",
+           "energy_ratio_by_chunks__chunk=7_n_chunks=10",
+           "autocorrelation_relative__fraction=0.33", "approximate_entropy",
+           "cwt_energy__width=2.0", "cwt_peak_width",
+           "ar_coefficient__k=2_order=4", "autocorrelation__lag=3",
+           "standard_deviation", "quantile__q=0.1")
+_EXTRACTORS = (FeatureExtractor.full(), FeatureExtractor.bold(),
+               FeatureExtractor.for_names(_SUBSET),
+               FeatureExtractor(specs=extended_registry()))
+
+
+@given(adversarial_signals)
+@settings(max_examples=40, deadline=None)
+def test_extract_matches_per_spec_compute(x):
+    """Shared intermediates change no bit: ``extract`` equals each spec
+    computed on its own, and ``extract_many`` rows equal ``extract``."""
+    for extractor in _EXTRACTORS:
+        vector = extractor.extract(x)
+        alone = [spec.compute(x) for spec in extractor.specs]
+        assert np.array_equal(_bits(vector), _bits(alone)), extractor.names
+        batch = extractor.extract_many([x, x[::-1]])
+        assert np.array_equal(_bits(batch[0]), _bits(vector))
+        assert np.array_equal(_bits(batch[1]),
+                              _bits(extractor.extract(x[::-1])))
 
 
 @given(signals)

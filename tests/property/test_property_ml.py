@@ -41,6 +41,34 @@ def test_forest_proba_valid_distribution(data):
     np.testing.assert_allclose(proba.sum(axis=1), 1.0, rtol=1e-9)
 
 
+@given(datasets(), st.integers(min_value=1, max_value=12),
+       st.sampled_from([1, 2, 3, None]), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=25, deadline=None)
+def test_stacked_forest_equals_mean_of_trees_bitwise(data, n_trees, depth,
+                                                      leaf, seed):
+    """The joint descent sums leaf probabilities in tree order: exactly
+    the mean of the trees' own ``predict_proba``, for batches and rows.
+    Shallow trees and large leaves keep leaf probabilities fractional,
+    where the summation order shows in the last bits."""
+    X, y = data
+    forest = RandomForestClassifier(n_estimators=n_trees, max_depth=depth,
+                                    min_samples_leaf=leaf,
+                                    random_state=seed).fit(X, y)
+    queries = np.random.default_rng(seed).normal(0, 1.5, (9, X.shape[1]))
+    for rows in (X, queries):
+        acc = np.zeros((len(rows), len(forest.classes_)))
+        for tree in forest.estimators_:
+            acc += tree.predict_proba(rows)
+        expected = acc / n_trees
+        got = forest.predict_proba(rows)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        for i in range(len(rows)):
+            one = forest.predict_proba(rows[i:i + 1])[0]
+            assert np.array_equal(one.view(np.uint64),
+                                  expected[i].view(np.uint64))
+
+
 @given(datasets())
 @settings(max_examples=15, deadline=None)
 def test_logistic_proba_valid(data):

@@ -100,34 +100,7 @@ class TestCwt:
 
 
 class TestSharedSpectrum:
-    """The shared-spectrum fast path must be bit-identical and scoped."""
-
-    def test_values_bit_identical_inside_context(self, tone):
-        funcs = [lambda x: fd.fft_coefficient_abs(x, 3),
-                 fd.fft_spectral_centroid,
-                 fd.fft_spectral_spread,
-                 fd.fft_spectral_entropy,
-                 fd.fft_peak_frequency_bin]
-        standalone = [f(tone) for f in funcs]
-        with fd.shared_spectrum(tone):
-            shared = [f(tone) for f in funcs]
-        assert shared == standalone  # exact, not approximate
-
-    def test_other_signals_unaffected(self, tone):
-        other = np.cos(2 * np.pi * 11.0 * np.arange(200) / 100.0)
-        expected = fd.fft_spectral_centroid(other)
-        with fd.shared_spectrum(tone):
-            assert fd.fft_spectral_centroid(other) == expected
-
-    def test_contexts_nest_and_restore(self, tone):
-        other = np.cos(2 * np.pi * 11.0 * np.arange(200) / 100.0)
-        a = fd.fft_spectral_centroid(tone)
-        b = fd.fft_spectral_centroid(other)
-        with fd.shared_spectrum(tone):
-            with fd.shared_spectrum(other):
-                assert fd.fft_spectral_centroid(other) == b
-            assert fd.fft_spectral_centroid(tone) == a
-        assert fd._active_spectrum is None
+    """FFT features sharing one spectrum must equal each spec computed alone."""
 
     def test_extractor_matches_standalone_specs(self):
         from repro.features import FeatureExtractor

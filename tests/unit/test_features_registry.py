@@ -73,6 +73,9 @@ class TestFeatureExtractor:
         assert ext.names == ("variance", "standard_deviation")
         with pytest.raises(KeyError):
             FeatureExtractor.for_names(["missing"])
+        # an empty list is an error, not the full registry
+        with pytest.raises(ValueError):
+            FeatureExtractor.for_names([])
 
     def test_extract_vector_shape(self):
         ext = FeatureExtractor.full()

@@ -92,6 +92,33 @@ class TestCorrelationStructure:
             td.ar_coefficient(np.zeros(50), k=9, order=4)
 
 
+def _reference_entropies(x: np.ndarray, m: int, r_factor: float,
+                         strict: bool = False):
+    """``(ApEn, SampEn)`` from explicit Chebyshev distances between all
+    template pairs; *strict* matches on ``< r`` instead of ``<= r``."""
+    n = x.size
+    r = r_factor * np.std(x)
+
+    def counts(series, length, self_match):
+        t = np.lib.stride_tricks.sliding_window_view(series, length)
+        d = np.abs(t[:, None, :] - t[None, :, :]).max(axis=2)
+        c = ((d < r) if strict else (d <= r)).sum(axis=1).astype(np.float64)
+        return c if self_match else np.maximum(c - 1.0, 0.0)
+
+    def phi(length):
+        frac = counts(x, length, True) / (n - length + 1)
+        return float(np.mean(np.log(np.maximum(frac, 1e-300))))
+
+    apen = abs(phi(m) - phi(m + 1))
+    b = counts(x[:n - 1], m, False).sum()
+    a = counts(x, m + 1, False).sum()
+    if b <= 0.0:
+        return apen, 0.0
+    if a <= 0.0:
+        return apen, float(np.log(b) + 1e-12)
+    return apen, float(-np.log(a / b))
+
+
 class TestEntropyComplexity:
     def test_sample_entropy_orders_regular_vs_random(self, sine, noise):
         assert td.sample_entropy(noise) > td.sample_entropy(sine)
@@ -102,6 +129,23 @@ class TestEntropyComplexity:
     def test_entropy_of_constant_is_zero(self):
         assert td.sample_entropy(np.full(100, 2.0)) == 0.0
         assert td.approximate_entropy(np.full(100, 2.0)) == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_entropies_match_template_distance_reference(self, noise, m):
+        # steps of 0.5 with r = 0.5 exactly: many template pairs sit at
+        # distance exactly r, so the tolerance test must be <=, as in the
+        # reference
+        steps = np.random.default_rng(0).integers(0, 4, 60) * 0.5
+        r_factor = 0.5 / np.std(steps)
+        assert r_factor * np.std(steps) == 0.5
+        cases = [(steps, r_factor), (noise[:90], 0.2),
+                 (np.round(noise[:70], 1), 0.2)]
+        for x, rf in cases:
+            apen, sampen = _reference_entropies(x, m, rf)
+            assert td.approximate_entropy(x, m, rf) == apen
+            assert td.sample_entropy(x, m, rf) == sampen
+        assert (_reference_entropies(steps, m, r_factor, strict=True)
+                != _reference_entropies(steps, m, r_factor))
 
     def test_cid_higher_for_rough_signal(self, sine, noise):
         assert (td.complexity_invariant_distance(noise)

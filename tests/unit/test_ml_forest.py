@@ -86,6 +86,26 @@ class TestForest:
         with pytest.raises(RuntimeError):
             RandomForestClassifier().predict(np.zeros((2, 2)))
 
+    def test_feature_count_checked(self):
+        X, y = _dataset(60)
+        forest = RandomForestClassifier(n_estimators=5, random_state=1)
+        forest.fit(X, y)
+        for width in (4, 6):
+            with pytest.raises(ValueError, match="features"):
+                forest.predict_proba(np.zeros((2, width)))
+        with pytest.raises(ValueError, match="features"):
+            forest.predict(np.zeros((1, 1)))
+
+    def test_refit_trees_are_not_served_stale(self):
+        X, y = _dataset(80)
+        forest = RandomForestClassifier(n_estimators=4, random_state=1)
+        before = forest.fit(X, y).predict_proba(X)
+        forest.estimators_[0].fit(X, np.where(y == "pos", "neg", "pos"))
+        after = forest.predict_proba(X)
+        expected = sum(t.predict_proba(X) for t in forest.estimators_) / 4
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(after, expected)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RandomForestClassifier(n_estimators=0)

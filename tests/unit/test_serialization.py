@@ -7,11 +7,13 @@ from repro.core.detector import DetectAimedRecognizer
 from repro.core.interference import InterferenceFilter
 from repro.core.config import AirFingerConfig
 from repro.core.persistence import load_stack, save_stack
+from repro.features.extractor import FeatureExtractor
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.logistic import LogisticRegressionClassifier
 from repro.ml.naive_bayes import BernoulliNaiveBayes
 from repro.ml.serialize import deserialize_model, serialize_model
 from repro.ml.tree import DecisionTreeClassifier
+from tests.golden.classify_cases import load_model_pin, unpack
 
 
 def _data(seed=0, n=60):
@@ -67,6 +69,43 @@ class TestModelRoundTrips:
             serialize_model(object())
 
 
+class TestModelFormatPin:
+    """A payload written by an earlier build (``tests/golden/model_pin.json``)
+    must load, predict bit for bit, and re-save unchanged."""
+
+    @pytest.fixture(scope="class")
+    def pin(self):
+        return load_model_pin()
+
+    def test_pinned_payload_predicts_bit_for_bit(self, pin):
+        model = deserialize_model(pin["payload"])
+        rows = np.stack([unpack(r) for r in pin["rows"]])
+        expected = np.stack([unpack(p) for p in pin["proba"]])
+        proba = model.predict_proba(rows)
+        assert np.array_equal(proba.view(np.uint64),
+                              expected.view(np.uint64))
+        for i, row in enumerate(rows):
+            one = model.predict_proba(row[None, :])
+            assert np.array_equal(one[0].view(np.uint64),
+                                  expected[i].view(np.uint64))
+
+    def test_trees_load_on_their_own(self, pin):
+        forest = deserialize_model(pin["payload"])
+        rows = np.stack([unpack(r) for r in pin["rows"]])
+        for tree_payload, tree in zip(pin["payload"]["trees"],
+                                      forest.estimators_):
+            alone = deserialize_model(tree_payload)
+            assert np.array_equal(alone.predict_proba(rows),
+                                  tree.predict_proba(rows))
+
+    def test_resave_is_a_fixed_point(self, pin):
+        import json
+        payload = pin["payload"]
+        resaved = serialize_model(deserialize_model(payload))
+        assert resaved == payload
+        assert json.dumps(resaved) == json.dumps(payload)
+
+
 class TestStackPersistence:
     @pytest.fixture()
     def trained(self):
@@ -113,6 +152,37 @@ class TestStackPersistence:
         with pytest.raises(ValueError):
             save_stack(tmp_path / "x.json",
                        detector=DetectAimedRecognizer())
+
+    @pytest.mark.parametrize("names", [["variance"], []])
+    def test_extractor_model_width_mismatch_refused_at_load(
+            self, trained, tmp_path, names):
+        import json
+        _, _, signals = trained
+        detector = DetectAimedRecognizer(
+            extractor=FeatureExtractor.for_names(
+                ["variance", "standard_deviation"]),
+            model_factory=lambda: RandomForestClassifier(
+                n_estimators=4, random_state=0))
+        detector.fit(signals, ["circle", "rub"] * (len(signals) // 2))
+        path = tmp_path / "stack.json"
+        save_stack(path, detector=detector)
+        assert load_stack(path)["detector"].predict_one(signals[0])
+        payload = json.loads(path.read_text())
+        payload["detector"]["extractor"]["names"] = names
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_stack(path)
+
+    def test_filter_width_mismatch_refused_at_load(self, trained, tmp_path):
+        import json
+        _, filt, _ = trained
+        path = tmp_path / "stack.json"
+        save_stack(path, interference_filter=filt)
+        payload = json.loads(path.read_text())
+        payload["interference_filter"]["extractor"]["names"] = ["variance"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="interference_filter"):
+            load_stack(path)
 
     def test_version_checked(self, trained, tmp_path):
         import json
