@@ -258,10 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "control front-end; --port becomes the "
                             "control port and the per-shard data ports "
                             "are advertised in every hello_ack")
-    serve.add_argument("--reuse-port", action="store_true",
-                       help="bind with SO_REUSEPORT; with --shards the "
-                            "workers share ONE kernel-balanced data port "
-                            "instead of port-per-shard tenant routing")
     serve.add_argument("--udp", action="store_true",
                        help="serve the datagram transport instead of "
                             "TCP (per-datagram session addressing; "
@@ -747,7 +743,8 @@ def _cmd_demo(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.serve import AirFingerServer, ServeConfig, SessionManager
+    from repro.serve import (AirFingerServer, ServeConfig, SessionManager,
+                             UdpAirFingerServer)
 
     config = ServeConfig(
         max_queue_frames=args.max_queue, max_batch_frames=args.max_batch,
@@ -780,35 +777,19 @@ def _cmd_serve(args) -> int:
                              metrics=get_registry(), tracer=get_tracer())
 
     manager = SessionManager(config, engine_factory=engine_factory)
-    if args.udp:
-        from repro.serve import UdpAirFingerServer
-
-        udp_server = UdpAirFingerServer(manager, host=args.host,
-                                        port=args.port)
-
-        async def run_udp() -> None:
-            await udp_server.start()
-            print(f"serving UDP on {udp_server.host}:{udp_server.port} "
-                  f"(slo={config.latency_slo_s * 1e3:.0f}ms, "
-                  f"idle-timeout={config.idle_timeout_s:.0f}s)")
-            await asyncio.Event().wait()
-
-        try:
-            asyncio.run(run_udp())
-        except KeyboardInterrupt:
-            print("\nserve stopped")
-        return 0
-    server = AirFingerServer(
+    server_class = UdpAirFingerServer if args.udp else AirFingerServer
+    server = server_class(
         manager, host=args.host, port=args.port,
         telemetry=not args.no_telemetry,
         telemetry_interval_s=args.telemetry_interval,
-        timeline_path=args.telemetry_json, reuse_port=args.reuse_port)
+        timeline_path=args.telemetry_json)
 
     async def run() -> None:
         await server.start()
         telemetry = ("off" if server.telemetry is None
                      else f"{server.telemetry.interval_s:g}s")
-        print(f"serving on {server.host}:{server.port} "
+        print(f"serving{' UDP' if args.udp else ''} on "
+              f"{server.host}:{server.port} "
               f"(slo={config.latency_slo_s * 1e3:.0f}ms, "
               f"idle-timeout={config.idle_timeout_s:.0f}s, "
               f"telemetry={telemetry})")
@@ -829,18 +810,14 @@ def _serve_sharded(args, config) -> int:
 
     shard_config = ShardConfig(
         shards=args.shards, host=args.host, control_port=args.port,
-        reuse_port=args.reuse_port, serve=config,
-        telemetry_interval_s=args.telemetry_interval)
+        serve=config, telemetry_interval_s=args.telemetry_interval)
 
     async def run() -> None:
         async with ShardCluster(shard_config) as cluster:
             control = cluster.control
-            ports = sorted({s["port"] for s in cluster.shard_listing})
-            layout = (f"shared data port {ports[0]}" if len(ports) == 1
-                      and shard_config.reuse_port
-                      else f"data ports {ports}")
+            ports = [s["port"] for s in cluster.shard_listing]
             print(f"fleet control on {control.host}:{control.port} — "
-                  f"{args.shards} shard workers, {layout} "
+                  f"{args.shards} shard workers, data ports {ports} "
                   f"(slo={config.latency_slo_s * 1e3:.0f}ms)")
             print("clients read the shard listing from hello_ack and "
                   "route data connections by tenant")

@@ -1,24 +1,29 @@
-"""Multi-stream gesture serving: sessions, wire protocol, asyncio server.
+"""Multi-stream gesture serving: sessions, wire protocol, TCP and UDP.
 
 This package turns the single-stream :class:`~repro.core.pipeline.AirFinger`
 engine into a serving system: a :class:`~repro.serve.session.SessionManager`
 multiplexes N concurrent device streams through per-session engine
-instances with bounded queues and explicit backpressure, an asyncio
-front-end (:class:`~repro.serve.server.AirFingerServer`) speaks the
-versioned length-framed protocol of :mod:`repro.serve.protocol`, and the
+instances with bounded queues and explicit backpressure, and one
+transport-independent :class:`~repro.serve.service.SessionService` serves
+them — the message switch, one dispatch pump per session, the idle
+reaper, the ``stats`` payload and a live
+:class:`~repro.obs.telemetry.TelemetryPlane` whose ticks ``watch``
+subscribers (``airfinger top``, the loadgen's ``--telemetry-json``
+timeline) receive.  Two thin adapters carry it: the TCP
+:class:`~repro.serve.server.AirFingerServer` frames messages on a byte
+stream (:mod:`repro.serve.protocol`), and the UDP
+:class:`~repro.serve.udp.UdpAirFingerServer` sends one message per
+datagram for connectionless devices.  Both serve the same message set;
+:class:`~repro.serve.client.ServeClient` and
+:class:`~repro.serve.udp.UdpServeClient` share one client core.  The
 load generator (:mod:`repro.serve.loadgen`) measures sessions/core, p99
-frame latency and deadline-miss rate against a live server.  The server
-also runs a live :class:`~repro.obs.telemetry.TelemetryPlane` by
-default — ``watch`` subscribers (``airfinger top``, the loadgen's
-``--telemetry-json`` timeline) receive periodic rate/quantile/health/
-alert pushes.
+frame latency and deadline-miss rate against a live server.
 
 Beyond one process: :mod:`repro.serve.shard` runs a worker process per
 core behind a :class:`~repro.serve.shard.FleetControlServer` that merges
-stats and telemetry, :mod:`repro.serve.udp` carries the same messages as
-datagrams for connectionless devices, and :mod:`repro.serve.checkpoint`
-serializes live session state so streams migrate across workers
-mid-gesture with zero lost events.
+stats and telemetry, and :mod:`repro.serve.checkpoint` serializes live
+session state so streams migrate across workers mid-gesture with zero
+lost events.
 
 See ``docs/SERVING.md`` for the architecture and the serving guarantees
 (event fidelity over the wire, drop-oldest backpressure surfacing as
@@ -44,6 +49,7 @@ from repro.serve.protocol import (
     encode_message,
 )
 from repro.serve.server import AirFingerServer
+from repro.serve.service import SessionService
 from repro.serve.session import ServeConfig, ServeSession, SessionManager
 from repro.serve.shard import (
     FleetControlServer,
@@ -66,6 +72,7 @@ __all__ = [
     "ServeConfig",
     "ServeSession",
     "SessionManager",
+    "SessionService",
     "ShardCluster",
     "ShardConfig",
     "UdpAirFingerServer",

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import json
 import struct
+from math import isfinite
 from typing import Iterable, Iterator
 
 from repro.acquisition.stream import FrameBlock, RssFrame
@@ -272,13 +273,24 @@ def frames_message(frames: Iterable[RssFrame] | FrameBlock) -> dict:
 
 
 def decode_frames(message: dict) -> list[RssFrame]:
-    """Rebuild the :class:`RssFrame` batch of a ``frames`` message."""
+    """Rebuild the :class:`RssFrame` batch of a ``frames`` message.
+
+    A malformed payload and a non-finite ``time_s`` raise
+    :class:`ProtocolError` — an overflowing literal such as ``1e999``
+    decodes to ``inf``, and an event stamped with it could never be
+    encoded back.  Non-finite sample values are the engine's to judge.
+    """
     try:
-        return [RssFrame(index=int(index), time_s=float(time_s),
-                         values=tuple(float(v) for v in values))
-                for index, time_s, values in message["frames"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        frames = [RssFrame(index=int(index), time_s=float(time_s),
+                           values=tuple(float(v) for v in values))
+                  for index, time_s, values in message["frames"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed frames payload: {exc}")
+    for frame in frames:
+        if not isfinite(frame.time_s):
+            raise ProtocolError(
+                f"frame {frame.index} has non-finite time_s {frame.time_s}")
+    return frames
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,15 @@
-"""Asyncio ingestion front-end for the gesture serving layer.
+"""The TCP front-end of the gesture serving layer.
 
 One :class:`AirFingerServer` multiplexes N device connections over a
 single event loop into a shared :class:`~repro.serve.session.SessionManager`.
-Per connection:
-
-* the **reader task** does the hello handshake, then decodes incoming
-  messages and enqueues sensor frames onto the session's bounded queue
-  (backpressure drops are booked by the manager and surface downstream
-  as :class:`~repro.core.events.StreamGap` events);
-* the **pump task** waits on a wake event the reader sets after every
-  frame batch, drains the queue through the manager's batching dispatch,
-  and writes the resulting events back — consecutive wakes coalesce, so
-  a client sending faster than the pipeline drains gets fewer, larger
-  ``feed_block`` batches instead of an unbounded task pile-up;
-* a ``bye`` triggers a final drain + engine flush, the tail events, and
-  a ``bye`` echo before the connection closes.
-
-A background reaper evicts sessions idle past
-``ServeConfig.idle_timeout_s``, delivering their flush tail before
-closing the transport, and the pump sends protocol heartbeats during
-output silence.  A second background task drives the
-:class:`~repro.obs.telemetry.TelemetryPlane` (on by default): every
-``telemetry_interval_s`` it samples the manager's registry, evaluates
-SLO burn rates and health, optionally appends the tick to a JSONL
-timeline, and pushes it to every connection subscribed via ``watch``.
-All pipeline work runs inline on the loop — sessions
-are CPU-bound and share one core per server process; horizontal scale is
-one process per core (the load generator measures exactly this:
-sessions/core).
+Everything about serving — the message switch, the per-session pump,
+the idle reaper, telemetry — lives in
+:class:`~repro.serve.service.SessionService`; this module only frames
+messages on a byte stream.  Per connection a reader task decodes the
+length-prefixed messages of :mod:`repro.serve.protocol` and hands each
+to the service, with the connection as its peer.  A refused message
+gets an ``error`` and the connection closes: a stream has no way to
+resynchronize after a message it could not act on.
 """
 
 from __future__ import annotations
@@ -36,431 +18,89 @@ import asyncio
 import contextlib
 import time
 
-from repro.obs.telemetry import TelemetryPlane, TimelineWriter
+from repro.obs.telemetry import TelemetryPlane
 from repro.serve import protocol
-from repro.serve.session import ServeConfig, ServeSession, SessionManager
+from repro.serve.service import SessionService
+from repro.serve.session import SessionManager
 
 __all__ = ["AirFingerServer"]
 
 
-class _Connection:
-    """Per-connection plumbing shared by the reader and pump tasks."""
+class _StreamPeer:
+    """One TCP connection, as the service sees it."""
 
-    __slots__ = ("reader", "writer", "session", "wake", "closing",
-                 "said_bye", "watch_every", "watch_phase")
+    __slots__ = ("writer",)
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self.reader = reader
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        self.session: ServeSession | None = None
-        self.wake = asyncio.Event()
-        self.closing = False
-        self.said_bye = False
-        #: push every Nth telemetry tick (0 = not subscribed)
-        self.watch_every = 0
-        self.watch_phase = 0
+
+    async def send(self, message: dict) -> None:
+        self.writer.write(protocol.encode_message(message))
+        await self.writer.drain()
+
+    def close(self) -> None:
+        self.writer.close()
 
 
-class AirFingerServer:
+class AirFingerServer(SessionService):
     """TCP server speaking the :mod:`repro.serve.protocol` wire format.
 
-    Parameters
-    ----------
-    manager:
-        The session manager doing the actual work; one per server.
-    host / port:
-        Bind address.  ``port=0`` picks a free port (tests); the bound
-        port is available as :attr:`port` after :meth:`start`.
-    telemetry:
-        ``True`` (default) builds a :class:`TelemetryPlane` over the
-        manager's registry; pass a pre-configured plane (custom policy,
-        thresholds, clocks) or ``False``/``None`` to disable live
-        telemetry — ``watch`` then fails with a protocol error.
-    telemetry_interval_s:
-        Sampling cadence of the default-built plane.
-    timeline_path:
-        When set, every telemetry tick is appended to this JSONL file
-        (replayable with ``airfinger telemetry``).
-    reuse_port:
-        Bind with ``SO_REUSEPORT`` so several server processes share one
-        port and the kernel balances incoming connections across them
-        (the shard front-end's preferred mode on platforms that have it).
-    wall_clock / mono_clock:
-        Injectable time sources.  The wall clock (``time.time``) only
-        ever stamps ``server_time_s`` for human display and cross-host
-        correlation; every duration — uptime, rates — derives from the
-        monotonic clock, so an NTP step never bends a measurement.
-        Tests inject both to pin that contract.
+    Takes the :class:`~repro.serve.service.SessionService` parameters
+    (``manager``, ``telemetry``, ``telemetry_interval_s``,
+    ``timeline_path``, ``wall_clock``, ``mono_clock``) plus the bind
+    address: ``host`` / ``port``, where ``port=0`` picks a free port
+    (tests) and the bound port is available as :attr:`port` after
+    :meth:`start`.
     """
 
     def __init__(self, manager: SessionManager,
                  host: str = "127.0.0.1", port: int = 0,
                  telemetry: TelemetryPlane | bool | None = True,
                  telemetry_interval_s: float = 1.0,
-                 timeline_path=None, reuse_port: bool = False,
+                 timeline_path=None,
                  wall_clock=time.time, mono_clock=time.monotonic) -> None:
-        self.manager = manager
+        super().__init__(manager, telemetry=telemetry,
+                         telemetry_interval_s=telemetry_interval_s,
+                         timeline_path=timeline_path,
+                         wall_clock=wall_clock, mono_clock=mono_clock)
         self.host = host
         self.port = port
-        self.reuse_port = reuse_port
-        self._wall_clock = wall_clock
-        self._mono_clock = mono_clock
-        if telemetry is True:
-            telemetry = TelemetryPlane(metrics=manager.metrics,
-                                       interval_s=telemetry_interval_s)
-        elif telemetry is False:
-            telemetry = None
-        self.telemetry: TelemetryPlane | None = telemetry
-        self.timeline_path = timeline_path
-        self._timeline: TimelineWriter | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._reaper: asyncio.Task | None = None
-        self._telemetry_task: asyncio.Task | None = None
-        self._started_wall = 0.0
-        self._started_mono = 0.0
-        #: live connections by session key, for eviction delivery
-        self._connections: dict[tuple[str, str], _Connection] = {}
 
-    @property
-    def config(self) -> ServeConfig:
-        return self.manager.config
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind and start accepting connections (+ background tasks)."""
-        kwargs = {"reuse_port": True} if self.reuse_port else {}
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, **kwargs)
+            self._serve_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        self._started_wall = self._wall_clock()
-        self._started_mono = self._mono_clock()
-        self._reaper = asyncio.create_task(self._reap_idle())
-        if self.telemetry is not None:
-            if self.timeline_path is not None:
-                self._timeline = TimelineWriter(self.timeline_path)
-            self._telemetry_task = asyncio.create_task(
-                self._telemetry_loop())
-
-    @property
-    def uptime_s(self) -> float:
-        """Seconds since :meth:`start` (0.0 before it); monotonic."""
-        if not self._started_mono:
-            return 0.0
-        return self._mono_clock() - self._started_mono
-
-    def clock_stamps(self) -> tuple[float, float, float]:
-        """``(server_time_s, server_mono_s, uptime_s)`` read coherently.
-
-        One read per clock: the wall stamp is display-only, while the
-        monotonic stamp and the uptime derive from the *same* monotonic
-        reading — so two ``stats_reply`` messages always diff into a
-        positive elapsed time, no matter what NTP did to the wall clock
-        in between.
-        """
-        wall = self._wall_clock()
-        mono = self._mono_clock()
-        uptime = mono - self._started_mono if self._started_mono else 0.0
-        return wall, mono, uptime
+        await super().start()
 
     async def stop(self) -> None:
         """Stop accepting, cancel background tasks, close connections."""
-        for task_attr in ("_reaper", "_telemetry_task"):
-            task = getattr(self, task_attr)
-            if task is not None:
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
-                setattr(self, task_attr, None)
-        if self._timeline is not None:
-            self._timeline.close()
-            self._timeline = None
         if self._server is not None:
             self._server.close()
+        await super().stop()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for conn in list(self._connections.values()):
-            conn.closing = True
-            conn.wake.set()
-            with contextlib.suppress(Exception):
-                conn.writer.close()
-        self._connections.clear()
 
-    async def serve_forever(self) -> None:
-        """Run until cancelled (the ``airfinger serve`` entry point)."""
-        if self._server is None:
-            await self.start()
+    async def _serve_connection(self, reader: asyncio.StreamReader,
+                                writer: asyncio.StreamWriter) -> None:
+        peer = _StreamPeer(writer)
+        decoder = protocol.MessageDecoder()
         try:
-            await self._server.serve_forever()
-        finally:
-            await self.stop()
-
-    async def __aenter__(self) -> "AirFingerServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.stop()
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(reader, writer)
-        pump: asyncio.Task | None = None
-        try:
-            if not await self._handshake(conn):
-                return
-            pump = asyncio.create_task(self._pump(conn))
-            await self._read_loop(conn)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer vanished; eviction reaps the session later
-        except protocol.ProtocolError as exc:
-            await self._send_error(conn, "protocol", str(exc))
+            while data := await reader.read(65536):
+                for message in decoder.feed(data):
+                    await self.handle(peer, message)
+        except ConnectionError:
+            pass  # peer vanished; the reaper evicts its session later
         except Exception as exc:
-            # engine/session failure: tell the peer why before closing
-            # instead of vanishing mid-conversation
-            await self._send_error(
-                conn, "internal", f"{type(exc).__name__}: {exc}")
-            raise
+            # tell the peer why before closing instead of vanishing
+            # mid-conversation; an engine/session failure is also logged
+            await self._send_error(peer, exc)
+            if not isinstance(exc, protocol.ProtocolError):
+                raise
         finally:
-            conn.closing = True
-            conn.wake.set()
-            if pump is not None:
-                with contextlib.suppress(asyncio.CancelledError):
-                    await pump
-            if (conn.session is not None and self._connections.get(
-                    conn.session.key) is conn):
-                del self._connections[conn.session.key]
+            self.disconnect(peer)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
-
-    async def _handshake(self, conn: _Connection) -> bool:
-        decoder = protocol.MessageDecoder()
-        while True:
-            data = await conn.reader.read(65536)
-            if not data:
-                return False
-            messages = decoder.feed(data)
-            if messages:
-                break
-        try:
-            tenant, session_id = protocol.check_hello(messages[0])
-        except protocol.ProtocolError as exc:
-            await self._send_error(conn, "handshake", str(exc))
-            return False
-        conn.session = self.manager.open(tenant, session_id)
-        self._connections[conn.session.key] = conn
-        await self._send(conn, self._hello_ack_message(session_id))
-        # frames may trail the hello in the same read
-        for message in messages[1:]:
-            await self._handle_message(conn, message)
-        return True
-
-    def _hello_ack_message(self, session_id: str) -> dict:
-        """The handshake answer; fleet front-ends add a shard listing."""
-        return protocol.hello_ack(
-            session_id,
-            heartbeat_interval_s=self.config.heartbeat_interval_s,
-            max_batch_frames=self.config.max_batch_frames)
-
-    async def _read_loop(self, conn: _Connection) -> None:
-        decoder = protocol.MessageDecoder()
-        while not conn.closing:
-            data = await conn.reader.read(65536)
-            if not data:
-                return
-            for message in decoder.feed(data):
-                await self._handle_message(conn, message)
-                if conn.closing:
-                    return
-
-    async def _handle_message(self, conn: _Connection,
-                              message: dict) -> None:
-        kind = message.get("type")
-        session = conn.session
-        if kind == "frames":
-            self.manager.enqueue(session, protocol.decode_frames(message))
-            conn.wake.set()
-        elif kind == "heartbeat":
-            # a timestamped ping wants its `t` echoed back (client RTT)
-            t = message.get("t")
-            if t is not None:
-                await self._send(conn, protocol.heartbeat(echo=t))
-        elif kind == "stats":
-            snapshot = await self._stats_payload()
-            wall, mono, uptime = self.clock_stamps()
-            await self._send(conn, protocol.stats_reply(
-                snapshot, server_time_s=wall, server_mono_s=mono,
-                uptime_s=uptime))
-        elif kind == "watch":
-            self._handle_watch(conn, message)
-        elif kind == "checkpoint":
-            await self._handle_checkpoint(conn, message)
-        elif kind == "restore":
-            await self._handle_restore(conn, message)
-        elif kind == "bye":
-            conn.said_bye = True
-            conn.closing = True
-            conn.wake.set()
-        else:
-            raise protocol.ProtocolError(f"unexpected message type {kind!r}")
-
-    async def _stats_payload(self) -> dict:
-        """The ``stats_reply`` body; fleet front-ends merge shards here."""
-        snapshot = self.manager.stats()
-        snapshot["metrics"] = self.manager.metrics.snapshot().to_dict()
-        return snapshot
-
-    # ------------------------------------------------------------------
-    # migration control
-    # ------------------------------------------------------------------
-    async def _handle_checkpoint(self, conn: _Connection,
-                                 message: dict) -> None:
-        """Capture + detach a session; reply its serialized state."""
-        from repro.serve import checkpoint as ckpt
-        tenant = message.get("tenant")
-        session_id = message.get("session")
-        target = self.manager.get(str(tenant), str(session_id))
-        if target is None:
-            await self._send(conn, protocol.checkpoint_reply(
-                None, error=f"no live session {tenant!r}/{session_id!r}"))
-            return
-        # drop the device connection first so no frame can slip into the
-        # session between capture and detach
-        owner = self._connections.pop(target.key, None)
-        if owner is not None and owner is not conn:
-            owner.closing = True
-            owner.wake.set()
-            with contextlib.suppress(Exception):
-                owner.writer.close()
-        state = ckpt.checkpoint_session(self.manager, target)
-        await self._send(conn, protocol.checkpoint_reply(state))
-
-    async def _handle_restore(self, conn: _Connection,
-                              message: dict) -> None:
-        """Adopt a checkpointed session shipped by a shard peer."""
-        from repro.serve import checkpoint as ckpt
-        state = message.get("state")
-        try:
-            session = ckpt.restore_session(self.manager, state)
-        except (ValueError, KeyError, TypeError) as exc:
-            await self._send(conn, protocol.restore_reply(
-                None, error=f"restore failed: {exc}"))
-            return
-        await self._send(conn, protocol.restore_reply(session.session_id))
-
-    # ------------------------------------------------------------------
-    # output pump
-    # ------------------------------------------------------------------
-    async def _pump(self, conn: _Connection) -> None:
-        """Dispatch queued frames and write events until the reader ends."""
-        session = conn.session
-        heartbeat_s = self.config.heartbeat_interval_s
-        while True:
-            try:
-                await asyncio.wait_for(conn.wake.wait(), timeout=heartbeat_s)
-            except asyncio.TimeoutError:
-                with contextlib.suppress(ConnectionError):
-                    await self._send(conn, protocol.heartbeat())
-                continue
-            conn.wake.clear()
-            while session.pending:
-                events = self.manager.dispatch(session)
-                if events:
-                    with contextlib.suppress(ConnectionError):
-                        await self._send(
-                            conn, protocol.events_message(events))
-                # yield so the reader can enqueue (and so other sessions'
-                # pumps interleave between batches)
-                await asyncio.sleep(0)
-            if conn.closing:
-                break
-        if conn.said_bye and not session.closed:
-            tail = self.manager.close(session, reason="bye")
-            with contextlib.suppress(ConnectionError):
-                if tail:
-                    await self._send(conn, protocol.events_message(tail))
-                await self._send(conn, protocol.bye())
-
-    # ------------------------------------------------------------------
-    # idle eviction
-    # ------------------------------------------------------------------
-    async def _reap_idle(self) -> None:
-        interval_s = min(self.config.idle_timeout_s / 4,
-                         self.config.heartbeat_interval_s)
-        while True:
-            await asyncio.sleep(interval_s)
-            for session, tail in self.manager.evict_idle():
-                conn = self._connections.pop(session.key, None)
-                if conn is None:
-                    continue
-                conn.closing = True
-                conn.wake.set()
-                with contextlib.suppress(ConnectionError):
-                    if tail:
-                        await self._send(
-                            conn, protocol.events_message(tail))
-                    await self._send(conn, protocol.bye())
-                with contextlib.suppress(Exception):
-                    conn.writer.close()
-
-    # ------------------------------------------------------------------
-    # telemetry
-    # ------------------------------------------------------------------
-    def _handle_watch(self, conn: _Connection, message: dict) -> None:
-        if self.telemetry is None:
-            raise protocol.ProtocolError(
-                "telemetry is disabled on this server; watch unavailable")
-        interval = message.get("interval_s")
-        if interval is not None and float(interval) <= 0:
-            conn.watch_every = 0
-            return
-        tick_s = self.telemetry.interval_s
-        # never push faster than the plane samples; round a slower
-        # request to the nearest whole number of ticks
-        every = 1 if interval is None else max(
-            1, round(float(interval) / tick_s))
-        conn.watch_every = every
-        conn.watch_phase = 0
-
-    async def _telemetry_tick(self) -> dict:
-        """One telemetry sample; fleet front-ends refresh shards first."""
-        return self.telemetry.tick()
-
-    async def _telemetry_loop(self) -> None:
-        plane = self.telemetry
-        while True:
-            await asyncio.sleep(plane.interval_s)
-            tick = await self._telemetry_tick()
-            if self._timeline is not None:
-                self._timeline.write(tick)
-            message = None
-            for conn in list(self._connections.values()):
-                if conn.watch_every <= 0 or conn.closing:
-                    continue
-                conn.watch_phase += 1
-                if conn.watch_phase < conn.watch_every:
-                    continue
-                conn.watch_phase = 0
-                if message is None:
-                    message = protocol.telemetry_message(tick)
-                with contextlib.suppress(ConnectionError, OSError):
-                    await self._send(conn, message)
-
-    # ------------------------------------------------------------------
-    # writes
-    # ------------------------------------------------------------------
-    @staticmethod
-    async def _send(conn: _Connection, message: dict) -> None:
-        conn.writer.write(protocol.encode_message(message))
-        await conn.writer.drain()
-
-    async def _send_error(self, conn: _Connection, code: str,
-                          detail: str) -> None:
-        with contextlib.suppress(Exception):
-            await self._send(conn, protocol.error_message(code, detail))

@@ -10,11 +10,8 @@ metrics registry and telemetry plane, and a parent-side
 * **Routing is shard-by-tenant**: :func:`shard_for_tenant` hashes the
   tenant id with CRC-32 (``zlib.crc32`` — Python's builtin ``hash`` is
   salted per process, so it must never pick a shard) onto a stable
-  worker, keeping a tenant's sessions co-resident.  Where the platform
-  has ``SO_REUSEPORT`` the workers can instead share one port and let
-  the kernel balance raw connections; the port-per-shard listing in the
-  control server's ``hello_ack`` is the portable fallback and the only
-  mode in which tenant affinity holds.
+  worker, keeping a tenant's sessions co-resident.  Each worker binds
+  its own port, and the control server's ``hello_ack`` lists them.
 * **Observability is merged**: the control server polls every worker's
   ``stats`` over the ordinary wire protocol, merges the per-shard
   :class:`~repro.obs.metrics.MetricsSnapshot`\\ s (additive counters and
@@ -33,7 +30,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import multiprocessing
-import socket
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -77,13 +73,9 @@ class ShardConfig:
 
     #: worker process count (>= 1); one core each is the scaling unit
     shards: int = 4
+    #: bind address of every worker (each on its own ephemeral port)
+    #: and of the control server
     host: str = "127.0.0.1"
-    #: with ``reuse_port``: the single shared data port (0 picks one);
-    #: otherwise each worker binds its own ephemeral port
-    port: int = 0
-    #: share one port via ``SO_REUSEPORT`` (kernel-balanced; tenant
-    #: affinity is lost) instead of port-per-shard routing
-    reuse_port: bool = False
     #: the parent control server's bind port (0 = ephemeral)
     control_port: int = 0
     serve: ServeConfig = field(default_factory=ServeConfig)
@@ -94,15 +86,10 @@ class ShardConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.reuse_port and not hasattr(socket, "SO_REUSEPORT"):
-            raise ValueError(
-                "reuse_port requested but this platform has no "
-                "SO_REUSEPORT; use port-per-shard routing instead")
 
 
-def _worker_main(shard_index: int, host: str, port: int, reuse_port: bool,
-                 serve_config: ServeConfig, telemetry_interval_s: float,
-                 pipe) -> None:
+def _worker_main(shard_index: int, host: str, serve_config: ServeConfig,
+                 telemetry_interval_s: float, pipe) -> None:
     """One shard worker: fresh registry + manager + server, own loop.
 
     Top-level by design so the function is importable under any
@@ -112,18 +99,14 @@ def _worker_main(shard_index: int, host: str, port: int, reuse_port: bool,
     registry = MetricsRegistry()
     set_registry(registry)  # pipeline/server series land per-worker
     manager = SessionManager(serve_config, metrics=registry)
-    server = AirFingerServer(
-        manager, host=host, port=port, reuse_port=reuse_port,
-        telemetry_interval_s=telemetry_interval_s)
+    server = AirFingerServer(manager, host=host,
+                             telemetry_interval_s=telemetry_interval_s)
 
     async def main() -> None:
         await server.start()
         pipe.send({"shard": shard_index, "host": host, "port": server.port})
         pipe.close()
-        try:
-            await server._server.serve_forever()
-        finally:
-            await server.stop()
+        await server.serve_forever()
 
     try:
         asyncio.run(main())
@@ -255,13 +238,13 @@ class FleetControlServer(AirFingerServer):
                 self._shard_clients.pop(index, None)
                 if client is not None:
                     with contextlib.suppress(Exception):
-                        client._writer.close()
+                        client.close()
         return None
 
     async def stop(self) -> None:
         for client in self._shard_clients.values():
             with contextlib.suppress(Exception):
-                client._writer.close()
+                client.close()
         self._shard_clients.clear()
         await super().stop()
 
@@ -280,33 +263,20 @@ class ShardCluster:
     def __init__(self, config: ShardConfig | None = None) -> None:
         self.config = config if config is not None else ShardConfig()
         self._processes: list[multiprocessing.Process] = []
-        self._placeholder: socket.socket | None = None
         self.shard_listing: list[dict] = []
         self.control: FleetControlServer | None = None
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
         config = self.config
-        port = config.port
-        if config.reuse_port and port == 0:
-            # reserve a concrete shared port: a bound (never listening)
-            # SO_REUSEPORT socket pins the number without stealing
-            # connections from the workers that listen on it
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            sock.bind((config.host, 0))
-            port = sock.getsockname()[1]
-            self._placeholder = sock
         ctx = multiprocessing.get_context()
         pipes = []
         for index in range(config.shards):
             parent_end, child_end = ctx.Pipe(duplex=False)
-            worker_port = port if config.reuse_port else 0
             proc = ctx.Process(
                 target=_worker_main,
-                args=(index, config.host, worker_port, config.reuse_port,
-                      config.serve, config.telemetry_interval_s,
-                      child_end),
+                args=(index, config.host, config.serve,
+                      config.telemetry_interval_s, child_end),
                 daemon=True, name=f"airfinger-shard-{index}")
             proc.start()
             child_end.close()
@@ -348,9 +318,6 @@ class ShardCluster:
                 proc.kill()
                 proc.join(timeout=10)
         self._processes.clear()
-        if self._placeholder is not None:
-            self._placeholder.close()
-            self._placeholder = None
 
     async def __aenter__(self) -> "ShardCluster":
         await self.start()

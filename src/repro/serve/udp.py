@@ -7,25 +7,26 @@ state is pure overhead for a fire-and-forget sensor feed.  This module
 carries the *same* JSON messages as :mod:`repro.serve.protocol` over
 UDP — one message per datagram, no length prefix (the datagram boundary
 is the frame) — with **per-datagram session addressing**: since there is
-no connection to hang identity on, every data-plane message carries its
-``tenant``/``session`` fields and the server replies to the datagram's
-source address (last seen wins, so a device re-appearing behind a new
-NAT port keeps its session).
+no connection to hang identity on, every ``frames`` and ``bye`` datagram
+carries its ``tenant``/``session`` fields and the server replies to the
+datagram's source address (last seen wins, so a device re-appearing
+behind a new NAT port keeps its session).  The server is the shared
+:class:`~repro.serve.service.SessionService` behind a datagram adapter,
+so it serves the same message set as the TCP server.
 
 Loss and reordering need no protocol machinery at all: a dropped
 datagram drops a run of frame indices, and the pipeline already turns
 index gaps into interpolation (short) or a
 :class:`~repro.core.events.StreamGap` (long), while a reordered datagram
-surfaces as out-of-order frames the engine counts and discards.  The
-loopback suite pins both halves of that contract: with no loss the UDP
-event stream is ``repr``-identical to TCP's, and under a seeded drop
-schedule the only divergence is the gap events themselves.
+surfaces as out-of-order frames the engine counts and discards.
 
 What UDP deliberately does not guarantee here: event delivery.  Events
 ride back as datagrams to the last known address; a lost event datagram
-is gone (devices that need reliable event delivery use the TCP front-end
-or subscribe elsewhere).  The serving metrics remain authoritative
-either way — they are recorded server-side at dispatch.
+is gone (devices that need reliable event delivery use the TCP
+front-end).  A reply that does not fit one datagram
+(:data:`MAX_DATAGRAM_BYTES`) comes back as an ``error``.  The serving
+metrics remain authoritative either way — they are recorded server-side
+at dispatch.
 """
 
 from __future__ import annotations
@@ -34,9 +35,13 @@ import asyncio
 import contextlib
 import json
 import time
+from dataclasses import dataclass
 
+from repro.obs.telemetry import TelemetryPlane
 from repro.serve import protocol
-from repro.serve.session import ServeSession, SessionManager
+from repro.serve.client import SessionClient
+from repro.serve.service import EVENTS_PER_MESSAGE, SessionService
+from repro.serve.session import SessionManager
 
 __all__ = [
     "MAX_DATAGRAM_BYTES",
@@ -50,9 +55,9 @@ __all__ = [
 #: Refuse to build datagrams above this (safe under the common 64 KiB
 #: UDP limit with headroom for IP/UDP headers and odd MTUs).
 MAX_DATAGRAM_BYTES = 57344
-#: Events per outgoing datagram; event payloads are ~200 bytes, so this
-#: stays an order of magnitude under :data:`MAX_DATAGRAM_BYTES`.
-EVENTS_PER_DATAGRAM = 120
+#: Events per outgoing datagram: the service's bound on every
+#: ``events`` message, which keeps each one inside a datagram.
+EVENTS_PER_DATAGRAM = EVENTS_PER_MESSAGE
 
 
 def encode_datagram(message: dict) -> bytes:
@@ -85,27 +90,40 @@ def _with_session(message: dict, tenant: str, session: str) -> dict:
     return message
 
 
-class _ServerProtocol(asyncio.DatagramProtocol):
-    def __init__(self, server: "UdpAirFingerServer") -> None:
-        self.server = server
+class _Inbox(asyncio.DatagramProtocol):
+    """Queues every received datagram for one reader task."""
 
-    def connection_made(self, transport) -> None:
-        self.server._transport = transport
+    def __init__(self) -> None:
+        self.queue: asyncio.Queue[tuple[bytes, tuple]] = asyncio.Queue()
 
     def datagram_received(self, data: bytes, addr) -> None:
-        self.server._on_datagram(data, addr)
+        self.queue.put_nowait((data, addr))
 
 
-class UdpAirFingerServer:
+@dataclass(frozen=True)
+class _DatagramPeer:
+    """One source address, as the service sees it (equal by address)."""
+
+    transport: asyncio.DatagramTransport
+    addr: tuple
+
+    async def send(self, message: dict) -> None:
+        body = encode_datagram(message)
+        with contextlib.suppress(OSError):
+            self.transport.sendto(body, self.addr)
+
+    def close(self) -> None:
+        """A datagram peer has no connection to close."""
+
+
+class UdpAirFingerServer(SessionService):
     """Datagram front-end over a shared :class:`SessionManager`.
 
-    Speaks the serve protocol one-message-per-datagram.  ``hello``
-    registers (or re-addresses) a session and is answered with a
-    ``hello_ack``; ``frames`` enqueue onto the session's bounded queue
-    and wake an asyncio pump that drains through the manager's batching
-    dispatch, sending events back in bounded chunks; ``bye`` drains,
-    flushes and answers the tail events plus a final ``bye``.  An idle
-    reaper evicts silent sessions exactly like the TCP server.
+    Takes the same parameters as
+    :class:`~repro.serve.server.AirFingerServer`.  One reader task hands
+    every datagram to the service in arrival order, with its source
+    address as the peer.  A refused datagram gets an ``error`` reply
+    and the server keeps serving: the next datagram may well be fine.
 
     May share its :class:`SessionManager` with a TCP
     :class:`~repro.serve.server.AirFingerServer` — sessions are keyed by
@@ -114,241 +132,95 @@ class UdpAirFingerServer:
 
     def __init__(self, manager: SessionManager,
                  host: str = "127.0.0.1", port: int = 0,
-                 reuse_port: bool = False,
+                 telemetry: TelemetryPlane | bool | None = True,
+                 telemetry_interval_s: float = 1.0,
+                 timeline_path=None,
                  wall_clock=time.time, mono_clock=time.monotonic) -> None:
-        self.manager = manager
+        super().__init__(manager, telemetry=telemetry,
+                         telemetry_interval_s=telemetry_interval_s,
+                         timeline_path=timeline_path,
+                         wall_clock=wall_clock, mono_clock=mono_clock)
         self.host = host
         self.port = port
-        self.reuse_port = reuse_port
-        self._wall_clock = wall_clock
-        self._mono_clock = mono_clock
-        self._started_mono = 0.0
         self._transport: asyncio.DatagramTransport | None = None
-        #: last datagram source address per live session key
-        self._peers: dict[tuple[str, str], tuple] = {}
-        self._pumps: dict[tuple[str, str], asyncio.Task] = {}
-        self._reaper: asyncio.Task | None = None
+        self._reader: asyncio.Task | None = None
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        kwargs = {"reuse_port": True} if self.reuse_port else {}
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: _ServerProtocol(self),
-            local_addr=(self.host, self.port), **kwargs)
+        """Bind the socket and start reading (+ background tasks)."""
+        transport, inbox = await asyncio.get_running_loop(
+            ).create_datagram_endpoint(_Inbox,
+                                       local_addr=(self.host, self.port))
         self._transport = transport
         self.port = transport.get_extra_info("sockname")[1]
-        self._started_mono = self._mono_clock()
-        self._reaper = asyncio.create_task(self._reap_idle())
+        self._reader = asyncio.create_task(self._read_loop(inbox.queue))
+        await super().start()
 
     async def stop(self) -> None:
-        if self._reaper is not None:
-            self._reaper.cancel()
+        """Cancel the reader and background tasks, close the socket."""
+        if self._reader is not None:
+            self._reader.cancel()
             with contextlib.suppress(asyncio.CancelledError):
-                await self._reaper
-            self._reaper = None
-        for task in list(self._pumps.values()):
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._pumps.clear()
+                await self._reader
+            self._reader = None
+        await super().stop()
         if self._transport is not None:
             self._transport.close()
             self._transport = None
-        self._peers.clear()
 
-    async def __aenter__(self) -> "UdpAirFingerServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.stop()
-
-    @property
-    def uptime_s(self) -> float:
-        """Seconds since :meth:`start` (0.0 before it); monotonic."""
-        if not self._started_mono:
-            return 0.0
-        return self._mono_clock() - self._started_mono
-
-    # ------------------------------------------------------------------
-    # datagram handling
-    # ------------------------------------------------------------------
-    def _on_datagram(self, data: bytes, addr) -> None:
-        try:
-            message = decode_datagram(data)
-            self._handle(message, addr)
-        except protocol.ProtocolError as exc:
-            self._sendto(protocol.error_message("protocol", str(exc)),
-                         addr)
-
-    def _handle(self, message: dict, addr) -> None:
-        kind = message.get("type")
-        if kind == "hello":
-            tenant, session_id = protocol.check_hello(message)
-            session = self.manager.open(tenant, session_id)
-            self._peers[session.key] = addr
-            self._sendto(protocol.hello_ack(
-                session_id,
-                heartbeat_interval_s=(
-                    self.manager.config.heartbeat_interval_s),
-                max_batch_frames=self.manager.config.max_batch_frames),
-                addr)
-        elif kind == "frames":
-            session = self._session_of(message)
-            self._peers[session.key] = addr
-            self.manager.enqueue(session, protocol.decode_frames(message))
-            self._wake_pump(session)
-        elif kind == "heartbeat":
-            t = message.get("t")
-            if t is not None:
-                self._sendto(protocol.heartbeat(echo=t), addr)
-        elif kind == "stats":
-            snapshot = self.manager.stats()
-            snapshot["metrics"] = (
-                self.manager.metrics.snapshot().to_dict())
-            mono = self._mono_clock()
-            uptime = (mono - self._started_mono
-                      if self._started_mono else 0.0)
-            self._sendto(protocol.stats_reply(
-                snapshot, server_time_s=self._wall_clock(),
-                server_mono_s=mono, uptime_s=uptime), addr)
-        elif kind == "bye":
-            session = self._session_of(message)
-            self._peers[session.key] = addr
-            asyncio.get_running_loop().create_task(
-                self._close_session(session, addr))
-        else:
-            raise protocol.ProtocolError(
-                f"unexpected datagram type {kind!r}")
-
-    def _session_of(self, message: dict) -> ServeSession:
-        tenant = message.get("tenant")
-        session_id = message.get("session")
-        if not tenant or not session_id:
-            raise protocol.ProtocolError(
-                "datagram carries no tenant/session address")
-        session = self.manager.get(str(tenant), str(session_id))
-        if session is None:
-            raise protocol.ProtocolError(
-                f"unknown session {tenant!r}/{session_id!r} "
-                f"(hello first; it may also have been evicted)")
-        return session
-
-    # ------------------------------------------------------------------
-    # dispatch pump
-    # ------------------------------------------------------------------
-    def _wake_pump(self, session: ServeSession) -> None:
-        task = self._pumps.get(session.key)
-        if task is None or task.done():
-            self._pumps[session.key] = asyncio.get_running_loop(
-                ).create_task(self._pump(session))
-
-    async def _pump(self, session: ServeSession) -> None:
-        try:
-            while session.pending and not session.closed:
-                events = self.manager.dispatch(session)
-                self._send_events(session, events)
-                # yield between batches so fresh datagrams interleave
-                await asyncio.sleep(0)
-        finally:
-            self._pumps.pop(session.key, None)
-
-    async def _close_session(self, session: ServeSession, addr) -> None:
-        pump = self._pumps.pop(session.key, None)
-        if pump is not None and not pump.done():
-            pump.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await pump
-        tail = self.manager.close(session, reason="bye")
-        self._send_events(session, tail, addr=addr)
-        self._sendto(protocol.bye(), addr)
-        self._peers.pop(session.key, None)
-
-    async def _reap_idle(self) -> None:
-        config = self.manager.config
-        interval_s = min(config.idle_timeout_s / 4,
-                         config.heartbeat_interval_s)
+    async def _read_loop(self, queue: asyncio.Queue) -> None:
         while True:
-            await asyncio.sleep(interval_s)
-            for session, tail in self.manager.evict_idle():
-                addr = self._peers.pop(session.key, None)
-                pump = self._pumps.pop(session.key, None)
-                if pump is not None and not pump.done():
-                    pump.cancel()
-                if addr is not None:
-                    self._send_events(session, tail, addr=addr)
-                    self._sendto(protocol.bye(), addr)
-
-    # ------------------------------------------------------------------
-    # writes
-    # ------------------------------------------------------------------
-    def _send_events(self, session: ServeSession, events: list,
-                     addr=None) -> None:
-        if not events:
-            return
-        if addr is None:
-            addr = self._peers.get(session.key)
-        if addr is None:
-            return
-        for i in range(0, len(events), EVENTS_PER_DATAGRAM):
-            chunk = events[i:i + EVENTS_PER_DATAGRAM]
-            self._sendto(protocol.events_message(chunk), addr)
-
-    def _sendto(self, message: dict, addr) -> None:
-        if self._transport is None:
-            return
-        with contextlib.suppress(OSError):
-            self._transport.sendto(encode_datagram(message), addr)
+            data, addr = await queue.get()
+            peer = _DatagramPeer(self._transport, addr)
+            try:
+                await self.handle(peer, decode_datagram(data))
+            except Exception as exc:
+                await self._send_error(peer, exc)
+                if not isinstance(exc, protocol.ProtocolError):
+                    asyncio.get_running_loop().call_exception_handler({
+                        "message": f"datagram from {addr} failed",
+                        "exception": exc})
 
 
 # ---------------------------------------------------------------------------
 # client
 # ---------------------------------------------------------------------------
 
-class _ClientProtocol(asyncio.DatagramProtocol):
-    def __init__(self, client: "UdpServeClient") -> None:
-        self.client = client
+class _ClientInbox(asyncio.DatagramProtocol):
+    """Queues every decodable datagram for the client to absorb."""
 
-    def connection_made(self, transport) -> None:
-        pass
+    def __init__(self) -> None:
+        self.queue: asyncio.Queue[dict] = asyncio.Queue()
 
     def datagram_received(self, data: bytes, addr) -> None:
-        self.client._on_datagram(data)
+        try:
+            self.queue.put_nowait(decode_datagram(data))
+        except protocol.ProtocolError:
+            pass  # corrupt datagram: UDP promises nothing; drop it
 
 
-class UdpServeClient:
+class UdpServeClient(SessionClient):
     """One device session over the datagram transport.
 
-    Mirrors :class:`~repro.serve.client.ServeClient` for the data plane:
-    connect (hello/hello_ack with bounded resends — the hello itself may
-    be lost), ``send_frames``, ``pump`` to absorb event datagrams, and a
-    ``bye`` handshake returning every received event.
-
-    ``send_filter`` injects deterministic datagram loss for tests: it is
-    called with each outgoing *frames* datagram's ordinal and the frame
-    batch, and a falsy return drops the datagram before it touches the
-    socket — exactly what a lossy radio link would do to it.
+    Everything but the transport is :class:`~repro.serve.client.
+    SessionClient`'s, so it speaks the same calls as
+    :class:`~repro.serve.client.ServeClient`.  Two things are its own:
+    the ``hello`` and ``bye`` are resent on timeout (either datagram
+    may be lost), and ``send_filter`` injects deterministic datagram
+    loss for tests: it is called with each outgoing *frames* datagram's
+    ordinal and the frame batch, and a falsy return drops the datagram
+    before it touches the socket — exactly what a lossy radio link
+    would do to it.
     """
 
     def __init__(self, transport: asyncio.DatagramTransport,
                  hello_ack: dict, send_filter=None,
                  clock=time.perf_counter) -> None:
+        super().__init__(hello_ack, clock=clock)
         self._transport = transport
-        self.hello_ack = hello_ack
+        self._incoming: asyncio.Queue[dict] = transport.get_protocol().queue
         self.tenant = ""
         self.session = ""
         self._send_filter = send_filter
-        self._clock = clock
-        self._incoming: asyncio.Queue[dict] = asyncio.Queue()
-        #: every decoded pipeline event received so far, in wire order
-        self.events: list = []
-        self.heartbeats = 0
-        self.rtts_s: list[float] = []
-        self._stats: dict | None = None
-        self._bye_seen = False
         self._frames_datagrams = 0
         self.dropped_datagrams = 0
 
@@ -363,73 +235,42 @@ class UdpServeClient:
         themselves may be lost); each attempt waits ``timeout_s /
         retries``.
         """
-        loop = asyncio.get_running_loop()
-        transport, proto = await loop.create_datagram_endpoint(
-            lambda: _ClientProtocol(None), remote_addr=(host, port))
+        transport, _ = await asyncio.get_running_loop(
+            ).create_datagram_endpoint(_ClientInbox,
+                                       remote_addr=(host, port))
         client = cls(transport, {}, send_filter=send_filter)
-        proto.client = client  # wire up before any datagram can arrive
         client.tenant = str(tenant)
         client.session = str(session)
         per_try = max(timeout_s / max(retries, 1), 0.05)
         for _attempt in range(max(retries, 1)):
-            transport.sendto(encode_datagram(
-                protocol.hello(tenant, session)))
             try:
-                message = await asyncio.wait_for(client._incoming.get(),
-                                                 timeout=per_try)
-            except asyncio.TimeoutError:
-                continue
-            if message.get("type") == "error":
-                raise protocol.ProtocolError(
-                    f"handshake rejected: {message.get('detail')}")
-            if message.get("type") == "hello_ack":
-                client.hello_ack = message
+                await client._hello(tenant, session, per_try)
                 return client
-            client._absorb(message)
-        transport.close()
+            except TimeoutError:
+                continue
+        client.close()
         raise TimeoutError("hello_ack timed out over UDP")
 
     # ------------------------------------------------------------------
-    def _on_datagram(self, data: bytes) -> None:
-        try:
-            self._incoming.put_nowait(decode_datagram(data))
-        except protocol.ProtocolError:
-            pass  # corrupt datagram: UDP promises nothing; drop it
+    async def _send(self, message: dict) -> None:
+        self._transport.sendto(encode_datagram(message))
 
-    def _absorb(self, message: dict) -> None:
-        kind = message.get("type")
-        if kind == "events":
-            self.events.extend(protocol.decode_events(message))
-        elif kind == "heartbeat":
-            self.heartbeats += 1
-            echo = message.get("echo")
-            if echo is not None:
-                self.rtts_s.append(
-                    max(self._clock() - float(echo), 0.0))
-        elif kind == "stats_reply":
-            self._stats = message.get("metrics")
-        elif kind == "bye":
-            self._bye_seen = True
-        elif kind == "error":
-            raise protocol.ProtocolError(
-                f"server error: {message.get('detail')}")
-
-    async def _drain(self, timeout_s: float) -> None:
+    async def _read_some(self, timeout_s: float) -> bool:
+        """Absorb the next datagram (waiting up to *timeout_s*) and any
+        queued behind it; a datagram socket never reports closed."""
         try:
             message = await asyncio.wait_for(self._incoming.get(),
                                              timeout=timeout_s)
         except asyncio.TimeoutError:
-            return
+            return True
         self._absorb(message)
-        while True:
-            try:
-                self._absorb(self._incoming.get_nowait())
-            except asyncio.QueueEmpty:
-                return
+        while not self._incoming.empty():
+            self._absorb(self._incoming.get_nowait())
+        return True
 
-    # ------------------------------------------------------------------
-    def _sendto(self, message: dict) -> None:
-        self._transport.sendto(encode_datagram(message))
+    def close(self) -> None:
+        """Close the socket."""
+        self._transport.close()
 
     async def send_frames(self, frames) -> None:
         """Ship one frame batch as one datagram (subject to the filter)."""
@@ -440,36 +281,8 @@ class UdpServeClient:
                 ordinal, frames):
             self.dropped_datagrams += 1
             return
-        self._sendto(_with_session(
+        await self._send(_with_session(
             protocol.frames_message(frames), self.tenant, self.session))
-
-    async def pump(self, timeout_s: float = 0.001) -> None:
-        """Opportunistically absorb any datagrams already received."""
-        await self._drain(timeout_s)
-
-    async def ping(self, timeout_s: float = 10.0) -> float:
-        """One heartbeat round trip; returns the RTT in seconds."""
-        seen = len(self.rtts_s)
-        self._sendto(protocol.heartbeat(t=self._clock()))
-        deadline = asyncio.get_running_loop().time() + timeout_s
-        while len(self.rtts_s) == seen:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                raise TimeoutError("heartbeat echo timed out")
-            await self._drain(remaining)
-        return self.rtts_s[-1]
-
-    async def stats(self, timeout_s: float = 10.0) -> dict:
-        """Fetch the server's stats snapshot (includes metrics)."""
-        self._stats = None
-        self._sendto(protocol.stats_request())
-        deadline = asyncio.get_running_loop().time() + timeout_s
-        while self._stats is None:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                raise TimeoutError("stats reply timed out")
-            await self._drain(remaining)
-        return self._stats
 
     async def bye(self, timeout_s: float = 30.0, retries: int = 5) -> list:
         """Graceful close; returns every event received in this session.
@@ -480,20 +293,15 @@ class UdpServeClient:
         """
         per_try = max(timeout_s / max(retries, 1), 0.05)
         for _attempt in range(max(retries, 1)):
-            self._sendto(_with_session(
-                protocol.bye(), self.tenant, self.session))
-            deadline = asyncio.get_running_loop().time() + per_try
-            while not self._bye_seen:
-                remaining = deadline - asyncio.get_running_loop().time()
-                if remaining <= 0:
-                    break
-                try:
-                    await self._drain(remaining)
-                except protocol.ProtocolError:
-                    # "unknown session": a bye resend after the server
-                    # already closed — the handshake is complete
-                    self._bye_seen = True
-            if self._bye_seen:
-                break
-        self._transport.close()
+            try:
+                await self._request(
+                    _with_session(protocol.bye(), self.tenant,
+                                  self.session),
+                    lambda: self._bye_seen, "bye", per_try)
+            except TimeoutError:
+                continue
+            except protocol.ProtocolError:
+                pass  # "unknown session": a resend after the server closed
+            break
+        self.close()
         return self.events

@@ -15,7 +15,6 @@ point is correctness of the fleet plumbing; capacity is measured by
 from __future__ import annotations
 
 import asyncio
-import socket
 import sys
 from pathlib import Path
 
@@ -201,22 +200,3 @@ class TestClusterMigration:
         events = asyncio.run(run())
         assert [repr(e) for e in events] == _reference(frames)
 
-
-@pytest.mark.skipif(not hasattr(socket, "SO_REUSEPORT"),
-                    reason="platform has no SO_REUSEPORT")
-class TestReusePortMode:
-    def test_workers_share_one_kernel_balanced_port(self, stream_cases):
-        _, frames = stream_cases[0]
-
-        async def run():
-            config = _cluster_config(reuse_port=True)
-            async with ShardCluster(config) as cluster:
-                ports = {e["port"] for e in cluster.shard_listing}
-                assert len(ports) == 1, "workers must share one port"
-                port = ports.pop()
-                events = await _drive("127.0.0.1", port,
-                                      "anyone", "dev0", frames[:400])
-                return events
-
-        events = asyncio.run(run())
-        assert [repr(e) for e in events] == _reference(frames[:400])
