@@ -38,6 +38,7 @@ from repro.core.detector import DetectAimedRecognizer
 from repro.core.zebra import ZebraTracker, TrackResult, find_ascending_point
 from repro.core.dispatcher import (
     GestureDispatcher,
+    SweepSlice,
     channel_lag_s,
     onset_times,
     sweep_statistics,
@@ -75,6 +76,7 @@ __all__ = [
     "TrackResult",
     "find_ascending_point",
     "GestureDispatcher",
+    "SweepSlice",
     "onset_times",
     "channel_lag_s",
     "sweep_statistics",

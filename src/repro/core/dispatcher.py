@@ -26,6 +26,8 @@ harness uses.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,33 +43,66 @@ __all__ = [
     "channel_lag_s",
     "SweepStatistics",
     "sweep_statistics",
+    "SweepSlice",
+    "as_sweep_slice",
     "GestureDispatcher",
 ]
 
 
-def _ascending_index(delta_sq: np.ndarray, level: float,
-                     confirm: int = 2) -> int | None:
-    """First index where the channel's ΔRSS² exceeds *level* persistently.
+@functools.lru_cache(maxsize=16)
+def _box_kernel(k: int) -> np.ndarray:
+    """The ``k``-tap moving-average kernel ``np.ones(k) / k``, built once
+    and read-only, as every caller shares it.
 
-    A channel counts as ascending when it exceeds *level* for *confirm*
-    consecutive samples; a channel whose peak never clears it returns
-    ``None`` (the "no ascending point" case of Algorithm 1).
+    It is symmetric, so ``np.correlate(x, kernel, "same")`` computes
+    ``np.convolve(x, kernel, "same")`` bit for bit, without the latter's
+    argument handling.
     """
-    delta_sq = np.asarray(delta_sq, dtype=np.float64).ravel()
-    if delta_sq.size == 0:
-        return None
-    if float(delta_sq.max()) <= level:
-        return None
-    above = delta_sq > level
-    if confirm <= 1:
-        hits = np.nonzero(above)[0]
-        return int(hits[0]) if hits.size else None
-    run = 0
-    for i, flag in enumerate(above):
-        run = run + 1 if flag else 0
-        if run >= confirm:
-            return i - confirm + 1
-    return None
+    kernel = np.ones(k) / k
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _low_quantile(column: np.ndarray, q: float = 0.1) -> float:
+    """``fast_quantile(column, q)`` from one sort of the column.
+
+    A sorted copy hands over the two bracketing order statistics at less
+    fixed cost than ``fast_quantile``'s finiteness check and partition.
+    Non-finite columns (NaN sorts last, ±inf to the ends) and zero order
+    statistics, whose sign a sort and a partition may pick differently,
+    take ``fast_quantile`` itself.
+    """
+    ordered = column.copy()
+    ordered.sort()
+    ordered = ordered.tolist()
+    virtual = q * (len(ordered) - 1)
+    lo = int(virtual)
+    below, above = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
+    if (not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1]))
+            or below == 0.0 or above == 0.0):
+        return fast_quantile(column, q)
+    gamma = virtual - lo
+    # fast_quantile's (numpy's) monotone lerp
+    if gamma >= 0.5:
+        return above - (above - below) * (1.0 - gamma)
+    return below + (above - below) * gamma
+
+
+def _ascending_indices(rows: np.ndarray, level: float) -> list[int | None]:
+    """Per row of ΔRSS², the first index where it exceeds *level* on two
+    consecutive samples, or ``None``.
+
+    A channel counts as ascending only when the excess persists; a
+    channel that never clears *level* has no ascending point (the "no
+    ascending point" case of Algorithm 1).
+    """
+    above = rows > level
+    both = above[:, 1:] & above[:, :-1]
+    if both.shape[1] == 0:
+        return [None] * len(rows)
+    hit = both.any(axis=1).tolist()
+    first = both.argmax(axis=1).tolist()
+    return [k if h else None for k, h in zip(first, hit)]
 
 
 def onset_times(rss_segment: np.ndarray,
@@ -97,20 +132,18 @@ def onset_times(rss_segment: np.ndarray,
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
     rss = np.atleast_2d(np.asarray(rss_segment, dtype=np.float64))
-    delta = sbc_transform(rss, window=sbc_window)
+    # one row per channel
+    delta = sbc_transform(rss, window=sbc_window).T
+    if delta.shape[1] < 2:
+        # no two consecutive samples can clear any level
+        return [None] * len(delta)
     # short energy smoothing stabilizes the per-channel crossing instants
-    if len(delta) >= 3:
-        kernel = np.ones(3) / 3.0
-        delta = np.stack(
-            [np.convolve(delta[:, c], kernel, mode="same")
-             for c in range(delta.shape[1])], axis=1)
-    peak = float(delta.max()) if delta.size else 0.0
-    level = max(gate, rise_fraction * peak)
-    out: list[float | None] = []
-    for c in range(delta.shape[1]):
-        idx = _ascending_index(delta[:, c], level)
-        out.append(None if idx is None else idx / sample_rate_hz)
-    return out
+    if delta.shape[1] >= 3:
+        delta = np.array([np.correlate(row, _box_kernel(3), "same")
+                          for row in delta])
+    level = max(gate, rise_fraction * float(delta.max()))
+    return [None if idx is None else idx / sample_rate_hz
+            for idx in _ascending_indices(delta, level)]
 
 
 def channel_lag_s(rss_segment: np.ndarray,
@@ -213,12 +246,10 @@ def sweep_statistics(rss_segment: np.ndarray,
     n = len(rss)
     if n < 4 or rss.shape[1] < 2:
         return SweepStatistics(0.0, 1.0, 1.0, 0.0, 0.0, 0, 1.0)
-    k = min(smooth_window, n)
-    kernel = np.ones(k) / k
-    e1 = np.convolve(np.maximum(
-        rss[:, 0] - fast_quantile(rss[:, 0], 0.1), 0.0), kernel, "same")
-    e3 = np.convolve(np.maximum(
-        rss[:, -1] - fast_quantile(rss[:, -1], 0.1), 0.0), kernel, "same")
+    kernel = _box_kernel(min(smooth_window, n))
+    x1, x3 = rss[:, 0], rss[:, -1]
+    e1 = np.correlate(np.maximum(x1 - _low_quantile(x1), 0.0), kernel, "same")
+    e3 = np.correlate(np.maximum(x3 - _low_quantile(x3), 0.0), kernel, "same")
     t = np.arange(n) / sample_rate_hz
 
     s1, s3 = float(e1.sum()), float(e3.sum())
@@ -229,21 +260,22 @@ def sweep_statistics(rss_segment: np.ndarray,
         c1 = float((t * e1).sum() / s1)
         c3 = float((t * e3).sum() / s3)
         centroid_lag = c3 - c1
-        trailing = e3 if c3 > c1 else e1
+        trailing, total = (e3, s3) if c3 > c1 else (e1, s1)
         cut = max(1, int(early_window * n))
-        early_fraction = float(trailing[:cut].sum() / max(trailing.sum(), 1e-9))
+        early_fraction = float(trailing[:cut].sum() / max(total, 1e-9))
 
-    p1 = rss[:, 0] - rss[:, 0].mean()
-    p3 = rss[:, -1] - rss[:, -1].mean()
-    n1, n3 = float(np.linalg.norm(p1)), float(np.linalg.norm(p3))
+    # sum()/n is mean(), and sqrt(p·p) is np.linalg.norm, bit for bit
+    p1 = x1 - x1.sum() / n
+    p3 = x3 - x3.sum() / n
+    n1, n3 = math.sqrt(p1.dot(p1)), math.sqrt(p3.dot(p3))
     rho_zero = float(p1 @ p3 / (n1 * n3)) if n1 > 1e-9 and n3 > 1e-9 else 1.0
 
     diff = e1 - e3
-    scale = float(max(e1.max(), e3.max(), 1e-9))
-    i_pos = int(np.argmax(diff))
-    i_neg = int(np.argmin(diff))
-    pos = float(max(diff[i_pos], 0.0))
-    neg = float(max(-diff[i_neg], 0.0))
+    scale = max(float(e1.max()), float(e3.max()), 1e-9)
+    i_pos = int(diff.argmax())
+    i_neg = int(diff.argmin())
+    pos = max(float(diff[i_pos]), 0.0)
+    neg = max(-float(diff[i_neg]), 0.0)
     bipolarity = min(pos, neg) / scale
     if pos <= 0 and neg <= 0:
         order = 0
@@ -260,6 +292,50 @@ def sweep_statistics(rss_segment: np.ndarray,
         lobe_spacing_s=abs(i_pos - i_neg) / sample_rate_hz,
         lobe_order=order,
         dominance=dominance)
+
+
+class SweepSlice:
+    """One segment slice ``(T, C)`` as float64, with its sweep statistics
+    and onsets computed at most once.
+
+    The engine hands one slice to both :meth:`GestureDispatcher.classify`
+    and :meth:`ZebraTracker.track <repro.core.zebra.ZebraTracker.track>`,
+    so a track decision does not recompute what the dispatch decision
+    already knows.  Both also accept plain arrays, and ``np.asarray``
+    turns a slice back into its array.
+    """
+
+    __slots__ = ("rss", "_memo")
+
+    def __init__(self, rss_segment) -> None:
+        self.rss = np.atleast_2d(np.asarray(rss_segment, dtype=np.float64))
+        self._memo: dict = {}
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.rss, dtype=dtype, copy=copy)
+
+    def statistics(self, sample_rate_hz: float) -> SweepStatistics:
+        """:func:`sweep_statistics` of the slice."""
+        key = ("sweep", sample_rate_hz)
+        if key not in self._memo:
+            self._memo[key] = sweep_statistics(self.rss, sample_rate_hz)
+        return self._memo[key]
+
+    def onsets(self, sample_rate_hz: float, gate: float,
+               sbc_window: int) -> tuple[float | None, ...]:
+        """:func:`onset_times` of the slice, as a tuple."""
+        key = ("onsets", sample_rate_hz, gate, sbc_window)
+        if key not in self._memo:
+            self._memo[key] = tuple(onset_times(
+                self.rss, sample_rate_hz, gate, sbc_window=sbc_window))
+        return self._memo[key]
+
+
+def as_sweep_slice(rss_segment) -> SweepSlice:
+    """*rss_segment* itself when it already is a :class:`SweepSlice`."""
+    if isinstance(rss_segment, SweepSlice):
+        return rss_segment
+    return SweepSlice(rss_segment)
 
 
 @dataclass
@@ -293,27 +369,33 @@ class GestureDispatcher:
                                                  default=None)
 
     # ------------------------------------------------------------------
-    def statistics(self, rss_segment: np.ndarray) -> SweepStatistics:
+    def statistics(self, rss_segment) -> SweepStatistics:
         """Sweep statistics of one segment (also the calibration features)."""
-        return sweep_statistics(rss_segment, self.config.sample_rate_hz)
+        return as_sweep_slice(rss_segment).statistics(
+            self.config.sample_rate_hz)
 
-    def _partial_scroll(self, rss_segment: np.ndarray, gate: float,
+    def _partial_scroll(self, segment: SweepSlice, gate: float,
                         stats: SweepStatistics) -> bool:
-        times = onset_times(rss_segment, self.config.sample_rate_hz, gate,
-                            sbc_window=self.config.sbc_window_samples)
+        # a two-sided difference is no partial scroll, whatever its onsets
+        if not stats.dominance >= self.partial_dominance:
+            return False
+        times = segment.onsets(self.config.sample_rate_hz, gate,
+                               self.config.sbc_window_samples)
         ascending = [i for i, t in enumerate(times) if t is not None]
-        lone_outer = (len(ascending) == 1
-                      and ascending[0] in (0, len(times) - 1))
-        return lone_outer and stats.dominance >= self.partial_dominance
+        return len(ascending) == 1 and ascending[0] in (0, len(times) - 1)
 
-    def classify(self, rss_segment: np.ndarray, gate: float) -> str:
-        """Return ``"detect"`` or ``"track"`` for one segmented gesture."""
-        stats = self.statistics(rss_segment)
+    def classify(self, rss_segment, gate: float) -> str:
+        """Return ``"detect"`` or ``"track"`` for one segmented gesture.
+
+        *rss_segment* is a ``(T, C)`` array or a :class:`SweepSlice`.
+        """
+        segment = as_sweep_slice(rss_segment)
+        stats = segment.statistics(self.config.sample_rate_hz)
         if self._tree is not None:
             label = self._tree.predict(stats.as_vector()[None, :])[0]
             if str(label) == "track":
                 return "track"
-            if self._partial_scroll(rss_segment, gate, stats):
+            if self._partial_scroll(segment, gate, stats):
                 return "track"
             return "detect"
         if (abs(stats.centroid_lag_s) > self.centroid_threshold_s
@@ -326,7 +408,7 @@ class GestureDispatcher:
         if (abs(stats.centroid_lag_s) > self.partial_centroid_threshold_s
                 and stats.early_fraction < self.partial_early_threshold):
             return "track"
-        if self._partial_scroll(rss_segment, gate, stats):
+        if self._partial_scroll(segment, gate, stats):
             return "track"
         return "detect"
 

@@ -30,7 +30,7 @@ from repro.acquisition.stream import (
 from repro.core.calibration import ChannelGuard
 from repro.core.config import AirFingerConfig
 from repro.core.detector import DetectAimedRecognizer
-from repro.core.dispatcher import GestureDispatcher
+from repro.core.dispatcher import GestureDispatcher, SweepSlice
 from repro.core.events import (
     ChannelMaskEvent,
     GestureEvent,
@@ -142,7 +142,6 @@ class AirFinger:
         self._hold: list[float] = []
         # metric handles are resolved once; feed() only pays record calls
         m = self.metrics if self.metrics is not None else get_registry()
-        self._obs = m
         self._tr = self.tracer if self.tracer is not None else get_tracer()
         self._stage_s: dict[str, float] = {}
         self._deadline_s = 1.0 / self.config.sample_rate_hz
@@ -777,8 +776,11 @@ class AirFinger:
     # ------------------------------------------------------------------
     # segment handling
     # ------------------------------------------------------------------
-    def _stage_scope(self, stage: str, start_s: float, end_s: float) -> None:
-        """Book one measured stage for deadline attribution + tracing."""
+    def _stage_scope(self, stage: str, histogram, start_s: float,
+                     end_s: float) -> None:
+        """Book one measured handler stage: its latency histogram,
+        deadline attribution and tracing."""
+        histogram.observe(end_s - start_s)
         self._stage_s[stage] = (self._stage_s.get(stage, 0.0)
                                 + (end_s - start_s))
         if self._tr.active:
@@ -794,15 +796,16 @@ class AirFinger:
             return out
         if gate is None:
             gate = self._gate()
-        with self._obs.timer("pipeline.stage_seconds", stage="dispatch") as t:
-            kind = self._dispatcher.classify(rss, gate)
-        self._stage_scope("dispatch", t.started_s, t.started_s + t.elapsed_s)
+        # one memo for both decisions: track reuses classify's statistics
+        sweep = SweepSlice(rss)
+        t_dispatch = perf_counter()
+        kind = self._dispatcher.classify(sweep, gate)
+        t_track = perf_counter()
+        self._stage_scope("dispatch", self._h_dispatch, t_dispatch, t_track)
         if kind == "track":
-            with self._obs.timer("pipeline.stage_seconds",
-                                 stage="tracking") as t:
-                result = self.tracker.track(rss, gate)
-            self._stage_scope("tracking", t.started_s,
-                              t.started_s + t.elapsed_s)
+            result = self.tracker.track(sweep, gate)
+            self._stage_scope("tracking", self._h_tracking, t_track,
+                              perf_counter())
             out.append(ScrollUpdate(
                 direction=result.direction,
                 velocity_mm_s=result.velocity_mm_s,
@@ -818,9 +821,8 @@ class AirFinger:
         t_detect = perf_counter()
         if self.interference_filter is not None:
             if self.interference_filter.gesture_probability(signal) < 0.5:
-                t_done = perf_counter()
-                self._h_detection.observe(t_done - t_detect)
-                self._stage_scope("detection", t_detect, t_done)
+                self._stage_scope("detection", self._h_detection, t_detect,
+                                  perf_counter())
                 out.append(GestureEvent(
                     label="non_gesture", confidence=1.0, segment=event,
                     accepted=False))
@@ -832,9 +834,8 @@ class AirFinger:
                 label=label, confidence=confidence, segment=event,
                 accepted=True))
             self._c_ev_gesture.inc()
-        t_done = perf_counter()
-        self._h_detection.observe(t_done - t_detect)
-        self._stage_scope("detection", t_detect, t_done)
+        self._stage_scope("detection", self._h_detection, t_detect,
+                          perf_counter())
         return out
 
     def _maybe_live_update(self, open_start=_UNSET,
@@ -857,15 +858,21 @@ class AirFinger:
         if rss.size == 0:
             return None
         gate = self._gate(threshold)
-        with self._obs.timer("pipeline.stage_seconds", stage="dispatch") as t:
-            kind = self._dispatcher.classify(rss, gate)
-        self._stage_scope("dispatch", t.started_s, t.started_s + t.elapsed_s)
-        if kind != "track" and not self._live_track_open:
-            return None
-        self._live_track_open = True
-        with self._obs.timer("pipeline.stage_seconds", stage="tracking") as t:
-            result = self.tracker.track(rss, gate)
-        self._stage_scope("tracking", t.started_s, t.started_s + t.elapsed_s)
+        sweep = SweepSlice(rss)
+        # a live track stays open until its segment closes, so once it is
+        # open nothing would read another decision
+        if not self._live_track_open:
+            t_dispatch = perf_counter()
+            kind = self._dispatcher.classify(sweep, gate)
+            self._stage_scope("dispatch", self._h_dispatch, t_dispatch,
+                              perf_counter())
+            if kind != "track":
+                return None
+            self._live_track_open = True
+        t_track = perf_counter()
+        result = self.tracker.track(sweep, gate)
+        self._stage_scope("tracking", self._h_tracking, t_track,
+                          perf_counter())
         event = SegmentEvent(
             start_index=open_start,
             end_index=self._pos,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import AirFingerConfig
-from repro.core.dispatcher import onset_times, sweep_statistics
+from repro.core.dispatcher import _ascending_indices, as_sweep_slice
 
 __all__ = ["find_ascending_point", "TrackResult", "ZebraTracker"]
 
@@ -29,8 +29,8 @@ __all__ = ["find_ascending_point", "TrackResult", "ZebraTracker"]
 def find_ascending_point(delta_sq: np.ndarray, level: float,
                          sample_rate_hz: float) -> float | None:
     """Ascending time (s) of one channel's ΔRSS², or None below *level*."""
-    from repro.core.dispatcher import _ascending_index
-    idx = _ascending_index(np.asarray(delta_sq, dtype=np.float64), level)
+    row = np.asarray(delta_sq, dtype=np.float64).reshape(1, -1)
+    idx = _ascending_indices(row, level)[0]
     return None if idx is None else idx / sample_rate_hz
 
 
@@ -103,19 +103,21 @@ class ZebraTracker:
         if self.baseline_mm <= 0:
             raise ValueError("baseline_mm must be positive")
 
-    def track(self, rss_segment: np.ndarray, gate: float) -> TrackResult:
+    def track(self, rss_segment, gate: float) -> TrackResult:
         """Run ZEBRA on one segmented gesture's raw RSS ``(T, C)``.
 
         The first and last channels are taken as P1 and P3 (the board's
-        outer photodiodes).
+        outer photodiodes).  *rss_segment* may be the
+        :class:`~repro.core.dispatcher.SweepSlice` the dispatcher already
+        classified, whose sweep statistics and onsets are then reused.
         """
-        rss = np.atleast_2d(np.asarray(rss_segment, dtype=np.float64))
-        n, c = rss.shape
+        segment = as_sweep_slice(rss_segment)
+        n, c = segment.rss.shape
         if c < 2:
             raise ValueError("ZEBRA needs at least two photodiode channels")
         duration_s = n / self.config.sample_rate_hz
-        onsets = onset_times(rss, self.config.sample_rate_hz, gate,
-                             sbc_window=self.config.sbc_window_samples)
+        onsets = segment.onsets(self.config.sample_rate_hz, gate,
+                                self.config.sbc_window_samples)
         t1 = onsets[0]      # P1
         t3 = onsets[-1]     # P3
         v_default = self.config.default_scroll_speed_mm_s
@@ -126,7 +128,7 @@ class ZebraTracker:
         # ascending order (α) and Δt.  This is more reliable than raw onset
         # presence — a minimum-jerk scroll starts slowly, so the first
         # photodiode's level crossing is sometimes missed entirely.
-        stats = sweep_statistics(rss, self.config.sample_rate_hz)
+        stats = segment.statistics(self.config.sample_rate_hz)
         if stats.bipolarity > 0.05 and abs(stats.centroid_lag_s) > 1e-9:
             delta_t = abs(stats.centroid_lag_s)
             direction = +1 if stats.centroid_lag_s > 0 else -1

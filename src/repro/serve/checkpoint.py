@@ -137,8 +137,10 @@ def load_engine_state(engine: AirFinger, state: dict) -> AirFinger:
 
     *engine* must come from an equivalently-configured factory (the
     caller checks :func:`config_digest`); its streaming state is
-    overwritten wholesale.
+    overwritten wholesale.  A history no guarded engine can hold is
+    refused with ``ValueError`` before anything is loaded.
     """
+    _check_history(engine, state)
     seg = engine._segmenter
     s = state["segmenter"]
     hist = s["hist"]
@@ -206,6 +208,34 @@ def load_engine_state(engine: AirFinger, state: dict) -> AirFinger:
         guard._since_check = int(g["since_check"])
         engine._guard = guard
     return engine
+
+
+def _check_history(engine: AirFinger, state: dict) -> None:
+    """Refuse raw/delta history a guarded engine could not have kept.
+
+    With the channel guard on, every frame the engine ingests has the
+    guard's channel count, and ``raw`` and ``delta`` grow together under
+    the engine's history length.  A payload breaking that would load,
+    then fail at the next dispatch.
+    """
+    guard = state["guard"]
+    if guard is None:
+        return
+    width = int(guard["n_channels"])
+    raw, delta = state["raw"], state["delta"]
+    if len(raw) != len(delta):
+        raise ValueError(f"checkpoint history has {len(raw)} raw rows but "
+                         f"{len(delta)} delta values")
+    if len(raw) > engine._raw.maxlen:
+        raise ValueError(f"checkpoint history has {len(raw)} rows, this "
+                         f"engine keeps {engine._raw.maxlen}")
+    if len(state["prefilters"]) != width:
+        raise ValueError(f"checkpoint has {len(state['prefilters'])} "
+                         f"prefilters for {width} guarded channels")
+    for k, row in enumerate(raw):
+        if len(row) != width:
+            raise ValueError(f"checkpoint raw row {k} has {len(row)} "
+                             f"values for {width} guarded channels")
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ Usage (from the repo root)::
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Only run this when the physics, the pipeline behavior, the feature values,
-the forest or the model format is intentionally changed; the resulting
-``fig3_waveforms.npz`` / ``stream_traces.json`` / ``classify_traces.json``
-/ ``model_pin.json`` diffs are the review artifacts that show what moved.
+the forest, the dispatcher, ZEBRA or the model format is intentionally
+changed; the resulting ``fig3_waveforms.npz`` / ``stream_traces.json`` /
+``classify_traces.json`` / ``dispatch_traces.json`` / ``model_pin.json``
+diffs are the review artifacts that show what moved.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ from tests.golden.classify_cases import (  # noqa: E402
     build_traces,
     write_model_pin,
     write_traces as write_classify_traces,
+)
+from tests.golden.dispatch_cases import (  # noqa: E402
+    DISPATCH_TRACES_PATH,
+    build_traces as build_dispatch_traces,
+    write_traces as write_dispatch_traces,
 )
 from tests.golden.robustness_fixture import (  # noqa: E402
     ROBUSTNESS_CURVE_PATH,
@@ -63,6 +69,11 @@ def main() -> int:
     print(f"wrote {len(classify['features'])} feature rows and "
           f"{len(classify['events'])} detector event traces "
           f"-> {CLASSIFY_TRACES_PATH}")
+    dispatch = build_dispatch_traces()
+    write_dispatch_traces(dispatch)
+    print(f"wrote {len(dispatch['pairs'])} dispatch inputs and "
+          f"{len(dispatch['adversarial'])} adversarial ones "
+          f"-> {DISPATCH_TRACES_PATH}")
     write_model_pin(build_model_pin())
     print(f"wrote model-format pin -> {MODEL_PIN_PATH}")
 

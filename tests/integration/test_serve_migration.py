@@ -247,6 +247,44 @@ class TestGuards:
         with pytest.raises(ValueError):
             restore_session(manager_b, state)
 
+    @pytest.fixture()
+    def open_segment_state(self, stream_cases):
+        """``clean_mixed`` checkpointed at frame 151, a segment open
+        since 131, channel guard on."""
+        manager = _manager(ServeConfig(max_batch_frames=10))
+        session = manager.open("t", "d")
+        manager.enqueue(session, dict(stream_cases)["clean_mixed"][:151])
+        _drain(manager, session)
+        state = checkpoint_session(manager, session)
+        assert state["engine"]["segmenter"]["open_start"] == 131
+        assert state["engine"]["guard"]["n_channels"] == 3
+        return state
+
+    @pytest.mark.parametrize("damage, match", [
+        (lambda e: e["raw"].__setitem__(-1, e["raw"][-1][:2]), "raw row"),
+        (lambda e: e["raw"].__setitem__(0, e["raw"][0] + [1.0]), "raw row"),
+        (lambda e: e["prefilters"].pop(), "prefilters"),
+        (lambda e: e["delta"].pop(), "delta values"),
+        (lambda e: (e["raw"].extend(e["raw"][-1:] * 600),
+                    e["delta"].extend(e["delta"][-1:] * 600)),
+         "this engine keeps"),
+    ])
+    def test_restore_refuses_history_no_guarded_engine_holds(
+            self, open_segment_state, stream_cases, damage, match):
+        damage(open_segment_state["engine"])
+        manager = _manager(ServeConfig(max_batch_frames=10))
+        with pytest.raises(ValueError, match=match):
+            restore_session(manager, open_segment_state)
+        assert manager.get("t", "d") is None
+
+    def test_intact_history_still_restores(self, open_segment_state,
+                                           stream_cases):
+        frames = dict(stream_cases)["clean_mixed"]
+        manager = _manager(ServeConfig(max_batch_frames=10))
+        session = restore_session(manager, open_segment_state)
+        manager.enqueue(session, frames[151:])
+        assert _drain(manager, session) + manager.close(session)
+
     def test_digest_equal_for_equal_configs(self):
         manager = _manager()
         assert config_digest(manager.new_engine()) == config_digest(
@@ -298,6 +336,32 @@ class TestWireMigration:
 
         events = asyncio.run(run())
         assert [repr(e) for e in events] == _reference(frames)
+
+    def test_ragged_history_gets_restore_failed(self, stream_cases):
+        """A served session answers a bad history with ``restore failed``
+        and the link stays up."""
+        frames = dict(stream_cases)["clean_mixed"]
+
+        async def run() -> None:
+            manager = _manager()
+            session = manager.open("acme", "dev7")
+            manager.enqueue(session, frames[:151])
+            _drain(manager, session)
+            state = checkpoint_session(manager, session)
+            good = json.loads(json.dumps(state))
+            state["engine"]["raw"][-1] = state["engine"]["raw"][-1][:2]
+            async with AirFingerServer(manager) as server:
+                ctl = await ServeClient.connect(
+                    "127.0.0.1", server.port, "_fleet", "ctl")
+                with pytest.raises(protocol.ProtocolError,
+                                   match="restore failed: checkpoint raw "
+                                         "row 150 has 2 values"):
+                    await ctl.restore(state)
+                assert manager.get("acme", "dev7") is None
+                assert await ctl.restore(good) == "dev7"
+                await ctl.bye()
+
+        asyncio.run(run())
 
     def test_checkpoint_unknown_session_is_refused(self):
         async def run() -> None:
