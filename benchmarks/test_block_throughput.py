@@ -1,10 +1,11 @@
 """Offline-replay throughput: per-frame ``feed`` vs vectorized ``feed_block``.
 
-The block path batches calibration, ChannelGuard verdicts, the dynamic
-threshold segmenter and feature extraction into stacked numpy while
-emitting the *exact* event sequence of N scalar ``feed`` calls — the
-bit-identity contract is pinned by the golden-trace corpus
-(``tests/golden/stream_traces.json``) and the property suite, and
+``feed`` is a one-frame ``feed_block``, so both sides run the one
+ingestion path; a long block batches calibration, ChannelGuard
+verdicts, the dynamic threshold segmenter and feature extraction into
+stacked numpy while emitting the *exact* event sequence of N per-frame
+``feed`` calls — the bit-identity contract is pinned by the golden-trace
+corpus (``tests/golden/stream_traces.json``) and the property suite, and
 re-asserted here on the committed corpus before timing anything.
 
 Both timed engines run with ``live_update_every=0``: offline consumers
@@ -14,9 +15,11 @@ honest offline-replay configuration — it changes no event any offline
 caller observes.
 
 The gates: ``feed_block`` at the offline block size must replay a long
-idle-dominated session at >= 10x the frames/sec of the scalar loop, and
-at the 10-frame serving batch it must cost no more CPU per frame than
-scalar ``feed`` on the same session.  Wall-clock and frames/sec for both
+idle-dominated session at >= 10x the frames/sec of the per-frame
+``feed`` loop, and at the 10-frame serving batch it must cost no more
+CPU per frame than per-frame ``feed`` on the same session.  (The
+ledgered ratio names keep their ``_vs_scalar`` suffix so the ledger
+stays comparable; the denominator is per-frame ``feed``.)  Wall-clock and frames/sec for both
 paths land in the benchmark JSON via ``benchmark.extra_info``, mirroring
 ``test_campaign_throughput.py``.
 """
@@ -69,7 +72,7 @@ def _offline_engine() -> AirFinger:
     return AirFinger(live_update_every=0)
 
 
-def _scalar_replay(frames) -> list:
+def _per_frame_replay(frames) -> list:
     engine = _offline_engine()
     events = []
     for frame in frames:
@@ -90,17 +93,17 @@ def test_block_throughput(benchmark, bench_report):
     print_header(
         "Offline replay throughput — vectorized feed_block hot path",
         "stream replay dominates every robustness sweep and stream "
-        "evaluation; block mode must clear >= 10x the scalar loop")
+        "evaluation; block mode must clear >= 10x the per-frame feed loop")
 
     recording = _idle_session()
     frames = list(stream_frames(recording))
     n = len(frames)
 
-    scalar_s = float("inf")
+    feed_s = float("inf")
     for _ in range(2):
         t0 = time.perf_counter()
-        scalar_events = _scalar_replay(frames)
-        scalar_s = min(scalar_s, time.perf_counter() - t0)
+        feed_events = _per_frame_replay(frames)
+        feed_s = min(feed_s, time.perf_counter() - t0)
 
     def run_block():
         engine = _offline_engine()
@@ -112,14 +115,14 @@ def test_block_throughput(benchmark, bench_report):
 
     # equivalence first: same bits, or the speedup is meaningless
     assert ([repr(e) for e in block_events]
-            == [repr(e) for e in scalar_events])
+            == [repr(e) for e in feed_events])
 
-    speedup = scalar_s / block_s
+    speedup = feed_s / block_s
     benchmark.extra_info["n_frames"] = n
     benchmark.extra_info["block_size"] = BLOCK_SIZE
-    benchmark.extra_info["scalar_wall_s"] = round(scalar_s, 4)
+    benchmark.extra_info["feed_wall_s"] = round(feed_s, 4)
     benchmark.extra_info["block_wall_s"] = round(block_s, 4)
-    benchmark.extra_info["scalar_frames_per_sec"] = round(n / scalar_s, 1)
+    benchmark.extra_info["feed_frames_per_sec"] = round(n / feed_s, 1)
     benchmark.extra_info["block_frames_per_sec"] = round(n / block_s, 1)
     benchmark.extra_info["speedup_block_vs_scalar"] = round(speedup, 2)
 
@@ -132,10 +135,10 @@ def test_block_throughput(benchmark, bench_report):
                         scale=scale)
 
     print(f"\nstream: {n} frames ({n / 100.0:.0f} s of 100 Hz session, "
-          f"{len(scalar_events)} events)")
+          f"{len(feed_events)} events)")
     print(f"{'mode':<26} {'wall':>9} {'frames/s':>11} {'speedup':>9}")
-    print(f"{'scalar (per-frame feed)':<26} {scalar_s:>8.3f}s "
-          f"{n / scalar_s:>11.0f} {1.0:>8.1f}x")
+    print(f"{'per-frame feed':<26} {feed_s:>8.3f}s "
+          f"{n / feed_s:>11.0f} {1.0:>8.1f}x")
     print(f"{f'block (bs={BLOCK_SIZE})':<26} {block_s:>8.3f}s "
           f"{n / block_s:>11.0f} {speedup:>8.1f}x")
 
@@ -154,7 +157,7 @@ def _cpu_run(feed, items) -> tuple[float, list]:
 
 def test_serve_batch_beats_scalar(bench_report):
     print_header(
-        "Serve-batch cost — feed_block at 10-frame blocks vs scalar feed",
+        "Serve-batch cost — feed_block at 10-frame blocks vs per-frame feed",
         "every served message drains through feed_block in ~10-frame "
         "batches; that must cost no more per frame than per-frame feed")
 
@@ -164,19 +167,19 @@ def test_serve_batch_beats_scalar(bench_report):
     n = len(frames)
 
     # a serving engine: live updates on, its own registry
-    scalar_s = block_s = float("inf")
+    feed_s = block_s = float("inf")
     for _ in range(SERVE_ROUNDS):
         # interleaved, so a busy stretch of the host hits both sides
-        t, scalar_events = _cpu_run(
+        t, feed_events = _cpu_run(
             AirFinger(metrics=MetricsRegistry()).feed, frames)
-        scalar_s = min(scalar_s, t)
+        feed_s = min(feed_s, t)
         t, block_events = _cpu_run(
             AirFinger(metrics=MetricsRegistry()).feed_block, batches)
         block_s = min(block_s, t)
     assert ([repr(e) for e in block_events]
-            == [repr(e) for e in scalar_events])
+            == [repr(e) for e in feed_events])
 
-    ratio = scalar_s / block_s
+    ratio = feed_s / block_s
     scale = {"n_frames": n, "block_size": SERVE_BATCH}
     bench_report.record("block", "idle_stream_serve_batch",
                         "speedup_block10_vs_scalar", ratio, unit="x",
@@ -185,10 +188,10 @@ def test_serve_batch_beats_scalar(bench_report):
     print(f"\nstream: {n} frames, {SERVE_BATCH}-frame blocks, "
           f"least CPU of {SERVE_ROUNDS} interleaved rounds")
     print(f"{'mode':<26} {'us/frame':>9}")
-    print(f"{'scalar (per-frame feed)':<26} {scalar_s / n * 1e6:>9.2f}")
+    print(f"{'per-frame feed':<26} {feed_s / n * 1e6:>9.2f}")
     print(f"{f'block (bs={SERVE_BATCH})':<26} {block_s / n * 1e6:>9.2f}")
     print(f"speedup_block10_vs_scalar  {ratio:.2f}x")
 
     assert ratio >= SERVE_RATIO_TARGET, (
-        f"feed_block({SERVE_BATCH}) costs {1 / ratio:.2f}x the scalar "
-        f"loop per frame (gate: <= {1 / SERVE_RATIO_TARGET:.2f}x)")
+        f"feed_block({SERVE_BATCH}) costs {1 / ratio:.2f}x the per-frame "
+        f"feed loop per frame (gate: <= {1 / SERVE_RATIO_TARGET:.2f}x)")

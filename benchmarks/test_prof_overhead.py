@@ -7,7 +7,7 @@ workloads, so its cost is gated on the heaviest one the repo has: the
 no profiling installed; arm B runs the identical load with a
 :class:`~repro.obs.SamplingProfiler` thread sampling every stack and a
 :class:`~repro.obs.StageProfile` installed so every ``serve.dispatch``
-and ``pipeline.frame`` scope is attributed.  The gate compares **CPU
+and ``pipeline.block`` scope is attributed.  The gate compares **CPU
 seconds** (the fleet is paced at 100 Hz, so wall time just reflects the
 duration knob): arm B may cost at most ``OVERHEAD_LIMIT`` over arm A.
 

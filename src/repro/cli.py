@@ -143,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "streams (stream protocol only)")
     ev.add_argument("--block", type=int, default=None,
                     help="frames per feed_block batch during stream "
-                         "replay (stream protocol only; 1 forces the "
-                         "per-frame path, default picks the offline "
-                         "block size)")
+                         "replay (stream protocol only; 1 replays frame "
+                         "by frame, default picks the offline block "
+                         "size)")
     _add_metrics_json(ev)
     _add_trace_flags(ev)
     _add_profile_flag(ev)
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "engine per intensity (0 disables)")
     rob.add_argument("--block", type=int, default=None,
                      help="frames per feed_block batch during the stream "
-                          "replays (1 forces the per-frame path; the "
+                          "replays (1 replays frame by frame; the "
                           "curve is identical either way)")
     rob.add_argument("--out", type=Path, default=None,
                      help="write the accuracy-vs-fault curve to this "
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=2020)
     demo.add_argument("--block", type=int, default=None,
                       help="frames per feed_block batch during replay "
-                           "(1 forces the per-frame path; the printed "
+                           "(1 replays frame by frame; the printed "
                            "events are identical either way)")
     _add_metrics_json(demo)
     _add_trace_flags(demo)

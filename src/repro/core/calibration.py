@@ -313,15 +313,6 @@ class ChannelGuard:
         self._ring_pos = (pos + n) % w
         self._ring_len = min(self._ring_len + n, w)
 
-    def _verdict(self, values: np.ndarray) -> str:
-        # saturation first: a hard pin at the top code is also flat, but
-        # the rail is the more specific diagnosis
-        if np.mean(values >= self.adc.full_scale) > self.max_high_rail:
-            return "saturated"
-        if np.mean(np.diff(values) == 0.0) > self.max_flat_fraction:
-            return "flat"
-        return ""
-
     def _judge(self, c: int, fault: str) -> tuple[bool, str] | None:
         """Apply one check's verdict (``fault``, empty when healthy) to
         channel *c*; returns the mask transition it causes, if any.
@@ -383,41 +374,19 @@ class ChannelGuard:
     def push(self, values: tuple[float, ...]) -> list[tuple[int, bool, str]]:
         """Ingest one raw frame; returns mask transitions, if any.
 
-        Each transition is ``(channel, masked, reason)`` with reason
-        ``"flat"``/``"saturated"`` on masking and ``"recovered"`` on
-        unmasking.  Between checks this is one ring-row write and a
-        compare — cheap enough for the 100 Hz hot path.
+        A one-row :meth:`push_block`.  Each transition is ``(channel,
+        masked, reason)`` with reason ``"flat"``/``"saturated"`` on
+        masking and ``"recovered"`` on unmasking.
         """
-        if len(values) != self.n_channels:
-            raise ValueError(
-                f"frame has {len(values)} channels, guard has "
-                f"{self.n_channels}")
-        self._ring[self._ring_pos] = values
-        self._ring_pos = (self._ring_pos + 1) % self.window
-        if self._ring_len < self.window:
-            self._ring_len += 1
-        self._since_check += 1
-        if (self._since_check < self.check_every
-                or self._ring_len < self.window):
-            return []
-        self._since_check = 0
-        window = self.window_rows()
-        transitions: list[tuple[int, bool, str]] = []
-        for c in range(self.n_channels):
-            column = window[:, c]
-            change = self._judge(c, self._verdict(column))
-            if change is not None:
-                transitions.append((c, *change))
-            elif not self._masked[c]:
-                # remember the healthy level so a masked channel can be
-                # replaced by its own recent past, not by zero
-                self._hold[c] = float(np.median(column))
-                self._hold_window[c] = None
-        return transitions
+        return [(c, masked, reason)
+                for _, transitions in self.push_block(
+                    np.array([values], dtype=np.float64))
+                for c, masked, reason, _ in transitions]
 
     def push_block(self, values: np.ndarray
                    ) -> list[tuple[int, list[tuple[int, bool, str, float]]]]:
-        """Ingest N raw frames at once; bit-identical to N :meth:`push` calls.
+        """Ingest N raw frames at once; the same transitions and state
+        however a stream is cut into blocks.
 
         *values* is an ``(N, n_channels)`` float matrix.  Returns
         ``(offset, transitions)`` pairs for the frames whose check produced
@@ -425,17 +394,18 @@ class ChannelGuard:
         hold)`` — :meth:`push`'s tuple plus a snapshot of
         :meth:`hold_value` *at that check*, which a block consumer needs
         because the guard's hold state keeps evolving through the rest of
-        the block.  Check cadence is scheduled up front (it only depends
-        on the sample count); a block no check falls in only writes the
-        ring.  Otherwise :meth:`_block_verdicts` judges every check's
-        window of ring-plus-block at once, the mask/streak bookkeeping
-        replays sequentially, and the hold medians are left to
-        :meth:`hold_value`, which takes them only when read.
+        the block.  A check runs every ``check_every`` samples once the
+        window is full; its cadence is scheduled up front (it only
+        depends on the sample count), so a block no check falls in only
+        writes the ring.  Otherwise :meth:`_block_verdicts` judges every
+        check's window of ring-plus-block at once, the mask/streak
+        bookkeeping replays sequentially, and the hold medians are left
+        to :meth:`hold_value`, which takes them only when read.
         """
         x = np.asarray(values, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_channels:
             raise ValueError(
-                f"frame block has {x.shape[1] if x.ndim == 2 else '?'} "
+                f"frame has {x.shape[1] if x.ndim == 2 else '?'} "
                 f"channels, guard has {self.n_channels}")
         n = x.shape[0]
         w = self.window

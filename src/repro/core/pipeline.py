@@ -25,7 +25,6 @@ from repro.acquisition.stream import (
     FrameBlock,
     RssFrame,
     stream_blocks,
-    stream_frames,
 )
 from repro.core.calibration import ChannelGuard
 from repro.core.config import AirFingerConfig
@@ -57,7 +56,24 @@ __all__ = ["AirFinger", "DEFAULT_BLOCK_SIZE"]
 #: stays a fraction of a second at the paper's 100 Hz rate.
 DEFAULT_BLOCK_SIZE = 256
 
-_UNSET = object()
+
+def _equal_width_runs(frames: list) -> list:
+    """``(values, indices, times)`` of each run of *frames* sharing a
+    channel count: one run unless the list mixes widths."""
+    if not frames:
+        return []
+    try:
+        values = np.array([f.values for f in frames], dtype=np.float64)
+    except ValueError:
+        widths = [len(f.values) for f in frames]
+        cuts = [k for k in range(1, len(frames))
+                if widths[k] != widths[k - 1]]
+        if not cuts:
+            raise
+        bounds = [0, *cuts, len(frames)]
+        return [run for lo, hi in zip(bounds[:-1], bounds[1:])
+                for run in _equal_width_runs(frames[lo:hi])]
+    return [(values, [f.index for f in frames], [f.time_s for f in frames])]
 
 
 @dataclass
@@ -97,11 +113,11 @@ class AirFinger:
         registry (:func:`repro.obs.get_registry`).  Disable process-wide
         with ``REPRO_OBS=0``.
     tracer:
-        Span tracer; when sampling is on (``REPRO_TRACE``), every frame
-        becomes a ``pipeline.frame`` span with per-stage child spans, and
-        a deadline miss adds a ``deadline_miss`` span event naming the
-        offending stage.  Defaults to the process-global tracer
-        (:func:`repro.obs.get_tracer`).
+        Span tracer; when sampling is on (``REPRO_TRACE``), every
+        :meth:`feed`/:meth:`feed_block` call becomes a ``pipeline.block``
+        span with per-stage child spans, and a deadline miss adds a
+        ``deadline_miss`` span event naming the slowest stage.  Defaults
+        to the process-global tracer (:func:`repro.obs.get_tracer`).
     """
 
     config: AirFingerConfig = field(default_factory=AirFingerConfig)
@@ -140,7 +156,7 @@ class AirFinger:
         self._last_values: tuple[float, ...] | None = None
         self._guard: ChannelGuard | None = None
         self._hold: list[float] = []
-        # metric handles are resolved once; feed() only pays record calls
+        # metric handles are resolved once; a call only pays record calls
         m = self.metrics if self.metrics is not None else get_registry()
         self._tr = self.tracer if self.tracer is not None else get_tracer()
         self._stage_s: dict[str, float] = {}
@@ -158,11 +174,6 @@ class AirFinger:
                                         stage="detection")
         self._c_frames = m.counter("pipeline.frames")
         self._c_deadline = m.counter("pipeline.deadline_miss")
-        self._c_block_deadline = m.counter("pipeline.block_deadline_miss")
-        self._c_fallback = {
-            reason: m.counter("pipeline.block_fallback", reason=reason)
-            for reason in ("tracing", "ragged_channels",
-                           "channel_count_change")}
         self._c_segments = m.counter("pipeline.segments")
         self._c_ev_gesture = m.counter("pipeline.events", type="gesture")
         self._c_ev_rejected = m.counter("pipeline.events", type="rejected")
@@ -194,13 +205,19 @@ class AirFinger:
         return self._pos
 
     @property
+    def n_channels(self) -> int | None:
+        """Channel count of the last frame ingested (None before any)."""
+        last = self._last_values
+        return None if last is None else len(last)
+
+    @property
     def channel_mask(self) -> tuple[bool, ...]:
         """Per-channel masked state (empty before the first frame)."""
         return self._guard.mask if self._guard is not None else ()
 
     def _gate(self, threshold: float | None = None) -> float:
-        # block mode passes the threshold observed at the frame's own
-        # position; the live segmenter has already advanced past it
+        # a frame's handlers pass the threshold observed at the frame's
+        # own position; the live segmenter may have advanced past it
         if threshold is None:
             threshold = self._segmenter.threshold
         return threshold * self.gate_fraction
@@ -248,131 +265,162 @@ class AirFinger:
     def feed(self, frame: RssFrame) -> list:
         """Ingest one frame; returns the events it triggered.
 
-        The stored history and everything downstream (segmentation, onset
-        analysis, features) operate on the prefiltered RSS.  Imperfect
-        streams degrade instead of derailing: a short index gap is bridged
-        by linear interpolation, a long one flushes the segmenter and
-        yields a :class:`StreamGap`, and a channel the health guard
-        declares dead or saturated is held at its last healthy level until
-        it recovers (:class:`ChannelMaskEvent` marks both transitions).
+        A one-frame :meth:`feed_block`: every rule described there holds
+        frame by frame.
         """
+        return self.feed_block((frame,))
+
+    def feed_block(self, frames) -> list:
+        """Ingest a batch of frames; returns the events they triggered.
+
+        *frames* is a :class:`~repro.acquisition.stream.FrameBlock` or any
+        :class:`RssFrame` iterable, and the events do not depend on how a
+        stream is cut into calls.  The stored history and everything
+        downstream (segmentation, onset analysis, features) operate on
+        the prefiltered RSS.  Each stretch of contiguous indices goes
+        through one block call per stage (scheduled guard checks, frame
+        prefilter + SBC, the segmenter's state machine); each stage
+        replays its per-sample order on stretches shorter than
+        :data:`~repro.core.sbc.BLOCK_CROSSOVER` and runs numpy passes on
+        longer ones.
+
+        Imperfect streams degrade instead of derailing:
+
+        * a short index gap is bridged by linear interpolation; the
+          invented rows lead the next stretch, skip the channel guard
+          and count as no frame;
+        * a long gap flushes the segmenter and yields a
+          :class:`StreamGap`;
+        * an index from the past is counted and dropped;
+        * a channel the health guard declares dead or saturated is held
+          at its last healthy level until it recovers
+          (:class:`ChannelMaskEvent` marks both transitions);
+        * a frame whose channel count differs from the stream's raises
+          ``ValueError`` with the guard on; with it off, the prefilter
+          restarts at the new width.  A list mixing widths is taken as
+          runs of equal width.
+
+        Each call is booked once: the frame and stage histograms see
+        its per-frame average once per frame (so their sample counts do
+        not depend on the cut), a call slower than its frames' share of
+        the 100 Hz budget (``n`` frames × 10 ms) counts once under
+        ``pipeline.deadline_miss``, and a sampling tracer records it as
+        one ``pipeline.block`` span with ``pipeline.stage`` children.
+        """
+        t_start = perf_counter()
+        if isinstance(frames, FrameBlock):
+            runs = [(frames.values, frames.indices.tolist(), frames.times_s)]
+        else:
+            frames = list(frames)
+            runs = _equal_width_runs(frames)
+        n = len(frames)
+        if n == 0:
+            return []
+        self._stage_s.clear()
         if self._tr.active:
-            with self._tr.span("pipeline.frame", index=self._fed) as span:
-                return self._feed(frame, span)
-        return self._feed(frame, None)
+            with self._tr.span("pipeline.block", index=self._fed,
+                               frames=n) as span:
+                return self._consume(runs, n, t_start, span)
+        return self._consume(runs, n, t_start, None)
 
-    def _feed(self, frame: RssFrame, span) -> list:
-        t_start = perf_counter()
-        stage_s = self._stage_s
-        stage_s.clear()
+    def _consume(self, runs: list, n: int, t_start: float, span) -> list:
+        """Ingest the equal-width *runs* of one :meth:`feed_block` call
+        (*n* frames, started at *t_start*) and book the call."""
+        fed0 = self._fed
         events: list = []
+        for values, indices, times in runs:
+            m = len(indices)
+            # maximal internally-contiguous stretches; each stretch's head
+            # may still open a gap (or be stale) relative to the position
+            if indices == list(range(indices[0], indices[0] + m)):
+                bounds = [0, m]
+            else:
+                bounds = [0] + [i for i in range(1, m)
+                                if indices[i] - indices[i - 1] != 1] + [m]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                if self._anchor is None:
+                    self._anchor = indices[lo]
+                gap = (indices[lo] - self._anchor) - self._pos
+                if gap < 0:
+                    # indices from the past: their slots are already
+                    # filled (by real or interpolated samples), so
+                    # rewinding history is impossible and ingesting them
+                    # would desync every later frame — count and drop them
+                    stale = min(-gap, hi - lo)
+                    self._c_out_of_order.inc(stale)
+                    if span is not None:
+                        expected = self._pos + self._anchor
+                        for k in range(lo, lo + stale):
+                            span.add_event("out_of_order",
+                                           frame_index=indices[k],
+                                           expected=expected)
+                    lo += stale
+                    if lo == hi:
+                        continue
+                x, t = values[lo:hi], times[lo:hi]
+                n_interp = 0
+                if gap > 0:
+                    if (gap <= self.config.max_gap_samples
+                            and self._last_values is not None):
+                        bridge, bridge_t = self._bridge(gap, x[0],
+                                                        float(t[0]))
+                        if span is not None:
+                            span.add_event("gap_interpolated",
+                                           n_missing=gap, start=self._pos)
+                        self._c_gap_interp.inc(gap)
+                        if bridge.shape[1] == x.shape[1]:
+                            x = np.concatenate((bridge, x))
+                            t = [*bridge_t, *t]
+                            n_interp = gap
+                        else:
+                            # the head changes the channel count: the
+                            # bridge keeps the narrower width on its own
+                            events.extend(self._run_block(
+                                bridge, bridge_t, gap, span))
+                    else:
+                        events.extend(self._reset_after_gap(
+                            gap, float(t[0]), span))
+                events.extend(self._run_block(x, t, n_interp, span))
 
-        if self._anchor is None:
-            self._anchor = frame.index
-        gap = (frame.index - self._anchor) - self._pos
-        if gap > 0:
-            events.extend(self._handle_gap(gap, frame, span))
-        elif gap < 0:
-            # an index from the past: its slot has already been filled (by
-            # a real or interpolated sample), so rewinding history is
-            # impossible and ingesting it would desync every later frame —
-            # count it and drop it
-            self._c_out_of_order.inc()
-            if span is not None:
-                span.add_event("out_of_order", frame_index=frame.index,
-                               expected=self._pos + self._anchor)
-            return events
-
-        values = frame.values
-        if self.channel_guard:
-            events.extend(self._guard_frame(frame, span))
-            if self._guard is not None and self._guard.any_masked:
-                values = tuple(
-                    self._hold[c] if masked else v
-                    for c, (v, masked) in enumerate(
-                        zip(values, self._guard.mask)))
-        self._last_values = values
-
-        events.extend(self._ingest(values, frame.time_s, span))
-        self._fed += 1
-
-        frame_s = perf_counter() - t_start
-        self._h_frame.observe(frame_s)
-        self._c_frames.inc()
-        if frame_s > self._deadline_s:
-            self._c_deadline.inc()
-            if span is not None:
-                slowest = max(stage_s, key=stage_s.get) if stage_s else "?"
-                span.add_event(
-                    "deadline_miss", stage=slowest,
-                    frame_index=self._fed - 1, frame_s=frame_s,
-                    deadline_s=self._deadline_s)
-        # Continuous profiling re-uses the stage splits measured above —
-        # when off this is one global read + None check per frame.
-        prof = get_stage_profile()
-        if prof is not None:
-            prof.add_frame("pipeline.frame", frame_s, stage_s)
+        fed = self._fed - fed0
+        if fed:
+            call_s = perf_counter() - t_start
+            self._h_frame.observe_many(call_s / fed, fed)
+            self._c_frames.inc(fed)
+            stages = self._stage_s
+            deadline_s = n * self._deadline_s
+            if call_s > deadline_s:
+                self._c_deadline.inc()
+                if span is not None:
+                    span.add_event(
+                        "deadline_miss", stage=max(stages, key=stages.get),
+                        frame_index=fed0, frames=n, frame_s=call_s,
+                        deadline_s=deadline_s)
+            # continuous profiling re-uses the stage splits measured in
+            # the call — when off this is one global read + None check
+            prof = get_stage_profile()
+            if prof is not None:
+                prof.add_frame("pipeline.block", call_s, stages, frames=fed)
         return events
 
-    def _ingest(self, values: tuple[float, ...], time_s: float,
-                span) -> list:
-        """One sample through prefilter → SBC → segmentation → handlers."""
-        t_start = perf_counter()
-        filtered = self._frame_prefilter(len(values)).push(values)
-        self._raw.append(filtered)
-        self._last_time_s = time_s
-        combined = float(sum(filtered))
-        delta = self._combined_sbc.push(combined)
-        self._delta.append(delta)
-        self._pos += 1
-        t_prefilter = perf_counter()
-        self._stage_s["prefilter_sbc"] = (
-            self._stage_s.get("prefilter_sbc", 0.0) + t_prefilter - t_start)
-        self._h_prefilter.observe(t_prefilter - t_start)
+    def _bridge(self, gap: int, head: np.ndarray, head_time_s: float
+                ) -> tuple[np.ndarray, list[float]]:
+        """The *gap* rows, and their times, interpolated between the last
+        ingested values and the raw *head* row after the gap (over the
+        channels both have)."""
+        last = np.array(self._last_values, dtype=np.float64)
+        width = min(len(last), len(head))
+        last, head = last[:width], head[:width]
+        frac = np.arange(1, gap + 1) / (gap + 1)
+        rate = self.config.sample_rate_hz
+        times = [head_time_s - (gap - k) / rate for k in range(gap)]
+        return last + frac[:, None] * (head - last), times
 
+    def _reset_after_gap(self, gap: int, time_s: float, span) -> list:
+        """Jump *gap* positions ahead over a gap too long to invent data
+        for: flush in-flight state and mark the jump with a
+        :class:`StreamGap`."""
         events: list = []
-        finished = self._segmenter.push(delta)
-        t_segmentation = perf_counter()
-        self._stage_s["segmentation"] = (
-            self._stage_s.get("segmentation", 0.0)
-            + t_segmentation - t_prefilter)
-        self._h_segmentation.observe(t_segmentation - t_prefilter)
-        if span is not None:
-            self._tr.record("pipeline.stage", t_start, t_prefilter,
-                            stage="prefilter_sbc")
-            self._tr.record("pipeline.stage", t_prefilter, t_segmentation,
-                            stage="segmentation")
-        if finished is not None:
-            events.extend(self._handle_segment(finished))
-            self._live_track_open = False
-            # a fresh gesture must not inherit the previous one's live
-            # phase; restart the cadence at the next segment opening
-            self._live_cooldown = 0
-        elif self.live_update_every:
-            live = self._maybe_live_update()
-            if live is not None:
-                events.append(live)
-                self._c_ev_live.inc()
-        return events
-
-    def _handle_gap(self, gap: int, frame: RssFrame, span) -> list:
-        """Bridge or reset over *gap* missing stream positions."""
-        events: list = []
-        if gap <= self.config.max_gap_samples and self._last_values is not None:
-            last = self._last_values
-            rate = self.config.sample_rate_hz
-            for k in range(gap):
-                frac = (k + 1) / (gap + 1)
-                values = tuple(a + frac * (b - a)
-                               for a, b in zip(last, frame.values))
-                time_s = frame.time_s - (gap - k) / rate
-                events.extend(self._ingest(values, time_s, span))
-            self._c_gap_interp.inc(gap)
-            if span is not None:
-                span.add_event("gap_interpolated", n_missing=gap,
-                               start=self._pos - gap)
-            return events
-        # too long to invent data for: flush in-flight state, jump ahead
         start = self._pos
         tail = self._segmenter.discontinuity(gap)
         if tail is not None:
@@ -388,157 +436,20 @@ class AirFinger:
         self._pos += gap
         events.append(StreamGap(
             start_index=start, end_index=self._pos,
-            duration_s=gap / self.config.sample_rate_hz,
-            time_s=frame.time_s))
+            duration_s=gap / self.config.sample_rate_hz, time_s=time_s))
         self._c_gap_reset.inc()
         if span is not None:
             span.add_event("stream_gap", n_missing=gap, start=start)
         return events
 
-    def _guard_frame(self, frame: RssFrame, span) -> list:
-        """Run the channel health guard; returns mask-transition events."""
-        if self._guard is None:
-            self._guard = ChannelGuard(
-                n_channels=len(frame.values),
-                window=self.config.guard_window_samples,
-                check_every=self.config.guard_check_every_samples,
-                recovery_checks=self.config.guard_recovery_checks)
-            self._hold = [0.0] * len(frame.values)
-        transitions = self._guard.push(frame.values)
-        if not transitions:
-            return []
-        events: list = []
-        for channel, masked, reason in transitions:
-            if masked:
-                self._hold[channel] = self._guard.hold_value(channel)
-                self._c_mask.inc()
-            else:
-                self._c_unmask.inc()
-            # the combined signal steps when a channel's contribution is
-            # swapped for the held level; restart SBC so the step does not
-            # masquerade as gesture energy
-            self._combined_sbc.reset()
-            events.append(ChannelMaskEvent(
-                channel=channel, masked=masked, reason=reason,
-                index=self._pos, time_s=frame.time_s))
-            if span is not None:
-                span.add_event("channel_mask", channel=channel,
-                               masked=masked, reason=reason)
-        return events
-
-    def _note_block_fallback(self, reason: str, n_frames: int) -> None:
-        """Book one operator-visible per-frame fallback of *n_frames*.
-
-        A sampled trace (or a block shape only the scalar path can
-        digest) makes the affected block roughly an order of magnitude
-        slower; ``pipeline.block_fallback{reason=...}`` and a
-        ``block_fallback`` span event keep that visible instead of
-        silently eating the regression.
-        """
-        self._c_fallback[reason].inc()
-        if self._tr.active:
-            span = self._tr.current_span()
-            if span is not None:
-                span.add_event("block_fallback", reason=reason,
-                               n_frames=n_frames)
-            else:
-                # no enclosing span (bare feed_block under sampling):
-                # open a point span so the signal still lands in the trace
-                with self._tr.span("pipeline.block_fallback",
-                                   reason=reason, n_frames=n_frames):
-                    pass
-
-    def feed_block(self, frames) -> list:
-        """Ingest a batch of frames; bit-identical events to per-frame
-        :meth:`feed` calls over the same frames.
-
-        *frames* is a :class:`~repro.acquisition.stream.FrameBlock` or any
-        :class:`RssFrame` iterable.  Contiguous-index stretches go through
-        one block call per stage (frame prefilter + SBC, scheduled guard
-        checks, the segmenter's block state machine); each stage replays
-        its scalar order on stretches shorter than
-        :data:`~repro.core.sbc.BLOCK_CROSSOVER` and runs numpy passes on
-        longer ones.  Frames that open a gap or arrive out of order are
-        delegated one-by-one to the scalar path, which owns the
-        degradation semantics.  The equivalence
-        contract covers the **event sequence** and all pipeline state;
-        latency histograms are recorded block-amortized (the frame and
-        stage histograms see the per-frame average ``n`` times, so sample
-        counts match the scalar path), while deadline misses are counted
-        at block granularity under ``pipeline.block_deadline_miss`` —
-        the per-frame ``pipeline.deadline_miss`` counter is scalar-path
-        only, because a block average can neither expose a single-frame
-        spike nor stand in for ``n`` independent measurements.  When the
-        tracer is sampling, the call transparently degrades to per-frame
-        :meth:`feed` so every frame keeps its own span tree; that and the
-        other scalar fallbacks are counted under
-        ``pipeline.block_fallback{reason=...}``.
-        """
-        if isinstance(frames, FrameBlock):
-            values, times = frames.values, frames.times_s
-            indices = frames.indices.tolist()
-            frame_at = frames.frame
-        else:
-            # stack a frame list without building a FrameBlock: the
-            # boundary and fallback paths reuse the frames themselves
-            frames = list(frames)
-            try:
-                values = np.array([f.values for f in frames],
-                                  dtype=np.float64)
-            except ValueError:
-                # ragged channel counts: only the scalar path can rebuild
-                # its filters mid-stream
-                self._note_block_fallback("ragged_channels", len(frames))
-                return [e for f in frames for e in self.feed(f)]
-            indices = [f.index for f in frames]
-            times = [f.time_s for f in frames]
-            frame_at = frames.__getitem__
-        n = len(indices)
-        if n == 0:
-            return []
-        if self._tr.active:
-            self._note_block_fallback("tracing", n)
-            return [e for i in range(n) for e in self.feed(frame_at(i))]
-        n_channels = values.shape[1]
-        if ((self.channel_guard and self._guard is not None
-                and self._guard.n_channels != n_channels)
-                or (self._prefilter is not None
-                    and self._prefilter.channels != n_channels)):
-            # channel count changed mid-stream; scalar semantics (guard
-            # ValueError / filter rebuild) are authoritative
-            self._note_block_fallback("channel_count_change", n)
-            return [e for i in range(n) for e in self.feed(frame_at(i))]
-
-        events: list = []
-        # maximal internally-contiguous stretches; each stretch's head may
-        # still open a gap (or be stale) relative to the stream position
-        if indices == list(range(indices[0], indices[0] + n)):
-            bounds = [0, n]
-        else:
-            bounds = [0] + [i for i in range(1, n)
-                            if indices[i] - indices[i - 1] != 1] + [n]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            i = lo
-            while i < hi:
-                if self._anchor is None:
-                    self._anchor = indices[i]
-                if (indices[i] - self._anchor) - self._pos == 0:
-                    events.extend(self._run_block(values[i:hi], times[i:hi]))
-                    i = hi
-                else:
-                    # boundary frame: interpolate/reset/drop exactly as the
-                    # streaming path would, then resume the fast path
-                    events.extend(self._feed(frame_at(i), None))
-                    i += 1
-        return events
-
-    def _run_block(self, vals: np.ndarray, times) -> list:
-        """Block consumption of contiguous, in-order frames: their
-        ``(m, channels)`` values and their ``m`` timestamps."""
+    def _run_block(self, vals: np.ndarray, times, n_interp: int,
+                   span) -> list:
+        """Block consumption of contiguous, in-order rows: their
+        ``(m, channels)`` values and their ``m`` timestamps.  The first
+        *n_interp* rows bridge a gap: they skip the channel guard and its
+        hold substitution, and count as no frame."""
         t_start = perf_counter()
-        self._stage_s.clear()
-        m = len(vals)
-        n_channels = vals.shape[1]
+        m, n_channels = vals.shape
         pos0 = self._pos
         events: list = []
 
@@ -546,7 +457,7 @@ class AirFinger:
         guard_events: dict[int, list] = {}
         reset_offsets: list[int] = []
         x = vals
-        if self.channel_guard:
+        if self.channel_guard and m > n_interp:
             if self._guard is None:
                 self._guard = ChannelGuard(
                     n_channels=n_channels,
@@ -554,15 +465,18 @@ class AirFinger:
                     check_every=self.config.guard_check_every_samples,
                     recovery_checks=self.config.guard_recovery_checks)
                 self._hold = [0.0] * n_channels
-            mask_cur = list(self._guard.mask)
-            checks = self._guard.push_block(vals)
+            mask_cur = self._guard.mask
+            checks = self._guard.push_block(vals[n_interp:])
             if checks or any(mask_cur):
+                mask_cur = list(mask_cur)
                 x = vals.copy()
+                real = x[n_interp:]
                 prev = 0
                 for off, transitions in checks:
                     for c in range(n_channels):
                         if mask_cur[c]:
-                            x[prev:off, c] = self._hold[c]
+                            real[prev:off, c] = self._hold[c]
+                    k = n_interp + off
                     frame_events = []
                     for c, masked, reason, hold in transitions:
                         if masked:
@@ -573,28 +487,34 @@ class AirFinger:
                         mask_cur[c] = masked
                         frame_events.append(ChannelMaskEvent(
                             channel=c, masked=masked, reason=reason,
-                            index=pos0 + off, time_s=float(times[off])))
-                    guard_events[off] = frame_events
-                    reset_offsets.append(off)
+                            index=pos0 + k, time_s=float(times[k])))
+                        if span is not None:
+                            span.add_event("channel_mask", channel=c,
+                                           masked=masked, reason=reason)
+                    guard_events[k] = frame_events
+                    reset_offsets.append(k)
                     prev = off
                 for c in range(n_channels):
                     if mask_cur[c]:
-                        x[prev:m, c] = self._hold[c]
-        self._last_values = tuple(x[m - 1].tolist())
+                        real[prev:, c] = self._hold[c]
+        if m > n_interp:
+            self._last_values = tuple(x[m - 1].tolist())
 
         # --- prefilter -> combined -> SBC (exact) -----------------------
         filtered = self._frame_prefilter(n_channels).push_block(x)
-        # sequential channel accumulation matches float(sum(tuple))
-        combined = np.zeros(m, dtype=np.float64)
-        for c in range(n_channels):
-            combined += filtered[:, c]
+        # each row's channel sum from 0.0 in channel order, bit for bit
+        # float(sum(row)): accumulate adds left to right, and the + 0.0
+        # is the start value's only trace (an all -0.0 row sums to 0.0)
+        combined = np.add.accumulate(filtered, axis=1)[:, -1] + 0.0
         pieces = []
         prev = 0
         for boundary in reset_offsets:
             pieces.append(self._combined_sbc.push_block(
                 combined[prev:boundary]))
-            # a mask transition steps the combined signal; the scalar
-            # path restarts SBC at exactly this frame
+            # a mask transition steps the combined signal when a
+            # channel's contribution is swapped for the held level;
+            # restart SBC at exactly this frame so the step does not
+            # masquerade as gesture energy
             self._combined_sbc.reset()
             prev = boundary
         pieces.append(self._combined_sbc.push_block(combined[prev:]))
@@ -607,6 +527,16 @@ class AirFinger:
         finished = dict(seg.finished)
         t_segmentation = perf_counter()
         self._h_segmentation.observe_many((t_segmentation - t_prefilter) / m, m)
+        stage_s = self._stage_s
+        stage_s["prefilter_sbc"] = (stage_s.get("prefilter_sbc", 0.0)
+                                    + t_prefilter - t_start)
+        stage_s["segmentation"] = (stage_s.get("segmentation", 0.0)
+                                   + t_segmentation - t_prefilter)
+        if span is not None:
+            self._tr.record("pipeline.stage", t_start, t_prefilter,
+                            stage="prefilter_sbc")
+            self._tr.record("pipeline.stage", t_prefilter, t_segmentation,
+                            stage="segmentation")
 
         # --- per-frame bookkeeping + handlers ----------------------------
         # Quiet frames (no open segment, nothing finished, no guard event)
@@ -622,8 +552,7 @@ class AirFinger:
         delta_append = self._delta.append
         raw_maxlen = self._raw.maxlen or m
         live_every = self.live_update_every
-        active = sorted(
-            set(seg.open_offsets) | set(finished) | set(guard_events))
+        active = sorted({*seg.open_offsets, *finished, *guard_events})
         cursor = 0
         for k in active + [m]:
             if k > cursor:  # quiet span [cursor, k)
@@ -657,28 +586,7 @@ class AirFinger:
                     events.append(live)
                     self._c_ev_live.inc()
             cursor = k + 1
-        self._fed += m
-
-        block_s = perf_counter() - t_start
-        per_frame_s = block_s / m
-        self._h_frame.observe_many(per_frame_s, m)
-        self._c_frames.inc(m)
-        # Deadline accounting is block-granular here: the block average
-        # can hide a single-frame spike and a slow average is one late
-        # block, not `m` independent misses — so block mode books one
-        # `pipeline.block_deadline_miss` per late block and leaves the
-        # per-frame `pipeline.deadline_miss` counter to the scalar path.
-        if block_s > m * self._deadline_s:
-            self._c_block_deadline.inc()
-        prof = get_stage_profile()
-        if prof is not None:
-            # Vectorized stages come from the block marks; handler stages
-            # (dispatch/tracking/detection) accumulated into _stage_s.
-            stages = {"prefilter_sbc": t_prefilter - t_start,
-                      "segmentation": t_segmentation - t_prefilter}
-            for stage, seconds in self._stage_s.items():
-                stages[stage] = stages.get(stage, 0.0) + seconds
-            prof.add_frame("pipeline.block", block_s, stages, frames=m)
+        self._fed += m - n_interp
         return events
 
     def iter_events(self, frames, block_size: int | None = None,
@@ -725,7 +633,7 @@ class AirFinger:
         whose dropped frames surface here as index gaps.  ``block_size``
         routes consumption through :meth:`feed_block` in batches of that
         size (same events, ~an order of magnitude faster on replay); the
-        default keeps the historical frame-by-frame behavior.
+        default feeds frame by frame.
         """
         return list(self.iter_events(frames, block_size=block_size))
 
@@ -733,16 +641,12 @@ class AirFinger:
                        block_size: int | None = None) -> list:
         """Replay a full recording; returns all events plus end-of-stream flush.
 
-        Replay is offline, so it defaults to the vectorized block path
-        (``DEFAULT_BLOCK_SIZE`` frames at a time) — bit-identical events
-        to the per-frame path, which remains available with
-        ``block_size=1``.
+        Replay is offline, so it defaults to ``DEFAULT_BLOCK_SIZE``-frame
+        :meth:`feed_block` calls — the same events as any other cut,
+        ``block_size=1`` (frame by frame) included.
         """
         if block_size is None:
             block_size = DEFAULT_BLOCK_SIZE
-        if block_size == 1:
-            return list(self.iter_events(stream_frames(recording),
-                                         block_size=1))
         return list(self.iter_events(
             stream_blocks(recording, block_size), block_size=block_size))
 
@@ -838,13 +742,10 @@ class AirFinger:
                           perf_counter())
         return out
 
-    def _maybe_live_update(self, open_start=_UNSET,
-                           threshold: float | None = None
-                           ) -> ScrollUpdate | None:
-        # block mode passes the open_start/threshold trajectory recorded at
-        # each frame; the scalar path reads the live segmenter
-        if open_start is _UNSET:
-            open_start = self._segmenter.open_start
+    def _maybe_live_update(self, open_start: int | None,
+                           threshold: float) -> ScrollUpdate | None:
+        # open_start/threshold are the segmenter's state right after this
+        # frame; the live segmenter may have advanced past it
         if open_start is None:
             self._live_cooldown = 0
             return None

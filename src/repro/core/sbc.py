@@ -252,10 +252,6 @@ class StreamingSbc:
         self._count += len(values)
         return out
 
-    def push_many(self, values: np.ndarray) -> np.ndarray:
-        """Ingest a batch, returning one ΔRSS² per input sample."""
-        return self.push_block(values)
-
     def push_block(self, values: np.ndarray) -> np.ndarray:
         """Ingest N samples at once; bit-identical to N :meth:`push` calls.
 

@@ -140,8 +140,8 @@ def _stream_health(corpus: GestureCorpus, schedule: FaultSchedule,
     must never raise here — that contract is pinned separately by the
     fault property tests.  Replay batches frames through
     :meth:`AirFinger.feed_block` (``block_size=None`` picks the offline
-    default) — bit-identical events to per-frame streaming, which remains
-    reachable with ``block_size=1``.
+    default) — bit-identical events to frame-by-frame streaming
+    (``block_size=1``).
     """
     if block_size is None:
         block_size = DEFAULT_BLOCK_SIZE
@@ -194,8 +194,8 @@ def robustness_sweep(corpus: GestureCorpus,
         the stream-health columns (0 disables the replay).
     block_size:
         Frames per :meth:`AirFinger.feed_block` batch during the stream
-        replays (``None`` picks the offline default, ``1`` forces the
-        per-frame path).  The event sequence — and therefore every
+        replays (``None`` picks the offline default, ``1`` replays frame
+        by frame).  The event sequence — and therefore every
         stream-health column — is identical either way.
     """
     if not intensities:

@@ -84,10 +84,10 @@ def evaluate_stream(engine: AirFinger,
                     block_size: int | None = None) -> StreamScore:
     """Score one labelled stream through *engine* (engine state is reset).
 
-    Replay uses the vectorized block path by default (the event sequence
-    is bit-identical to per-frame streaming — the golden-trace and
-    property suites pin that contract); pass ``block_size=1`` to force
-    the per-frame path.
+    Replay runs in ``DEFAULT_BLOCK_SIZE``-frame ``feed_block`` calls by
+    default (the event sequence does not depend on the block size — the
+    golden-trace and property suites pin that contract); pass
+    ``block_size=1`` to replay frame by frame.
     """
     engine.reset()
     events = engine.feed_recording(stream.recording, block_size=block_size)

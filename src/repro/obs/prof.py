@@ -32,7 +32,7 @@ the disabled cost is one attribute load and one ``is None`` branch per
 frame/block, which is what lets ``benchmarks/test_prof_overhead.py``
 hold the strict zero-overhead-when-disabled gate.
 
-Stage paths are tuples of names (``("serve.dispatch", "pipeline.frame",
+Stage paths are tuples of names (``("serve.dispatch", "pipeline.block",
 "segmentation")``); exporters join them with ``;`` in flamegraph
 convention, so stage names must not contain ``;`` (enforced at record
 time).

@@ -32,7 +32,10 @@ with every message it sent.  A peer that cannot carry a message raises
 fields name, or else on the session the peer said ``hello`` for.  The
 datagram transport addresses every datagram that way, and the last
 sender wins, so a device re-appearing behind a new NAT port keeps its
-session.  Every other message needs a peer that said ``hello``.
+session.  Every other message needs a peer that said ``hello``.  A
+``frames`` message whose frames disagree on their channel count, or
+whose count differs from the frames the session has accepted, is
+refused with a protocol error; the session is kept.
 
 All pipeline work runs inline on the event loop — sessions are
 CPU-bound and share one core per server process; horizontal scale is
@@ -69,6 +72,25 @@ def _finite(value, what: str) -> float:
     if not math.isfinite(number):
         raise protocol.ProtocolError(f"{what} must be finite, got {value!r}")
     return number
+
+
+def _check_channel_count(session: ServeSession, frames: list) -> None:
+    """Refuse *frames* that disagree on their channel count, or whose
+    count differs from the frames *session* already accepted (a restored
+    session's engine knows its count): an engine cannot change its width
+    mid-stream."""
+    if not frames:
+        return
+    width = len(frames[0].values)
+    if any(len(frame.values) != width for frame in frames):
+        raise protocol.ProtocolError("frames disagree on channel count")
+    if session.queue:
+        accepted = len(session.queue[-1][0].values)
+    else:
+        accepted = session.engine.n_channels
+    if accepted is not None and width != accepted:
+        raise protocol.ProtocolError(
+            f"frames have {width} channels; this session's have {accepted}")
 
 
 class _Link:
@@ -217,8 +239,9 @@ class SessionService:
         kind = message.get("type")
         if kind == "frames":
             link = self._link_of(peer, message)
-            self.manager.enqueue(link.session,
-                                 protocol.decode_frames(message))
+            frames = protocol.decode_frames(message)
+            _check_channel_count(link.session, frames)
+            self.manager.enqueue(link.session, frames)
             link.wake.set()
         elif kind == "hello":
             await self._hello(peer, message)

@@ -22,12 +22,10 @@ holds:
   denormals, argmax/argmin ties, 584 rows) at each of
   :data:`ADVERSARIAL_GATES`.
 
-The call log was captured at the engine that re-classified the open
-segment even after its live track had opened; the engine now skips those
-calls, and ``tests/integration/test_golden_dispatch.py`` checks that the
-rest of the log is replayed exactly.  A log recorded by today's engine
-has none of those calls (342 instead of 405), so regenerating also moves
-the parent-log counts that test pins; every answer stays the same.
+The call log is the one today's engine makes: 342 calls.  An earlier
+engine re-classified the open segment even after its live track had
+opened (63 more live ``classify`` calls that nothing read); every
+answer for the calls both make is the same.
 
 Regenerate with::
 
@@ -168,7 +166,7 @@ class _Proxy:
 
 def record_case(frames, block_size: int = 1) -> tuple[list, dict, list]:
     """``(calls, rows, events)`` for one stream fed in *block_size*-frame
-    ``feed_block`` calls (``1``: scalar :meth:`AirFinger.feed`)."""
+    ``feed_block`` calls (``1``: per-frame :meth:`AirFinger.feed`)."""
     engine = AirFinger()
     recorder = _Recorder(engine)
     events = []

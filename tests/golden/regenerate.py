@@ -7,8 +7,10 @@ Usage (from the repo root)::
 Only run this when the physics, the pipeline behavior, the feature values,
 the forest, the dispatcher, ZEBRA or the model format is intentionally
 changed; the resulting ``fig3_waveforms.npz`` / ``stream_traces.json`` /
-``classify_traces.json`` / ``dispatch_traces.json`` / ``model_pin.json``
-diffs are the review artifacts that show what moved.
+``classify_traces.json`` / ``dispatch_traces.json`` / ``model_pin.json`` /
+``robustness_curve.json`` diffs are the review artifacts that show what
+moved.  On unchanged code regeneration is a fixed point: CI runs it and
+fails on any diff under ``tests/golden/``.
 """
 
 from __future__ import annotations

@@ -10,8 +10,11 @@ committed to ``stream_traces.json``.
 
 Two locks hang off it (``tests/integration/test_golden_stream_traces.py``):
 
-* **regression** — the scalar per-frame path must keep reproducing the
-  committed traces exactly (``repr`` round-trips every float bit);
+* **regression** — per-frame :meth:`AirFinger.feed
+  <repro.core.pipeline.AirFinger.feed>`, and the parent's per-frame
+  engine kept in :mod:`tests.golden.stream_reference`, must keep
+  reproducing the committed traces exactly (``repr`` round-trips every
+  float bit);
 * **equivalence** — :meth:`AirFinger.feed_block
   <repro.core.pipeline.AirFinger.feed_block>` must reproduce the same
   traces for every block grouping.
@@ -91,7 +94,6 @@ def trace_events(frames, block_size: int | None = None) -> list[str]:
             events.extend(engine.feed(frame))
     else:
         # explicit feed_block calls: block_size=1 means one-frame blocks
-        # (feed_frames would route those through the scalar feed)
         for lo in range(0, len(frames), block_size):
             events.extend(engine.feed_block(frames[lo:lo + block_size]))
     events.extend(engine.flush())

@@ -12,10 +12,9 @@ Two locks:
   call gets a plain array or classify and track share one
   :class:`~repro.core.dispatcher.SweepSlice`, as the engine does;
 * **live dispatch** — replayed at block sizes 1 and 10, the engine makes
-  exactly the committed calls except the live ``classify`` calls made
-  after its live track had opened, which nothing read: 235 live and 29
-  segment-close classify calls instead of 298 and 29, no live classify
-  while the live track is open, and the same events.
+  exactly the committed calls: 235 live and 29 segment-close classify
+  calls, none live while the live track is open (the parent engine made
+  63 such calls, which nothing read), and the same events.
 """
 
 from __future__ import annotations
@@ -77,9 +76,9 @@ class TestCoverage:
     def test_every_case_committed(self, golden):
         assert sorted(golden["cases"]) == sorted(c[0] for c in STREAM_CASES)
 
-    def test_parent_call_log(self, golden):
-        assert _calls(golden, "classify", "live") == 298
-        assert _calls(golden, "classify", "live", track_open=True) == 63
+    def test_call_log(self, golden):
+        assert _calls(golden, "classify", "live") == 235
+        assert _calls(golden, "classify", "live", track_open=True) == 0
         assert _calls(golden, "classify", "close") == 29
         assert _calls(golden, "track", "live") == 71
         assert _calls(golden, "track", "close") == 7
@@ -142,13 +141,10 @@ class TestLiveDispatch:
             assert events == committed_events[name], name
             expected = []
             for call, when, track_open, pair in case["calls"]:
-                if call == "classify" and when == "live" and track_open:
-                    continue
                 entry = golden["pairs"][pair]
-                expected.append((call, when, entry["lo"], entry["hi"],
-                                 entry["gate"]))
-            assert [(c, w, lo, hi, g) for c, w, _, lo, hi, g in calls] \
-                == expected, name
+                expected.append((call, when, track_open, entry["lo"],
+                                 entry["hi"], entry["gate"]))
+            assert calls == expected, name
             # (at segment close the flag is still set: that decision is
             # the final one and always runs)
             assert not any(c == "classify" and w == "live" and open_

@@ -2,11 +2,12 @@
 
 Two locks, mirroring ``test_golden_traces.py``:
 
-* **regression** — the scalar per-frame path (:meth:`AirFinger.feed`)
-  must keep reproducing the committed event traces
+* **regression** — per-frame :meth:`AirFinger.feed` (a one-frame
+  ``feed_block``) must keep reproducing the committed event traces
   (``tests/golden/stream_traces.json``) exactly, across clean and
   faulted streams (frame drops, a dead photodiode, saturation, long
-  gaps);
+  gaps), and so must the parent's per-frame engine kept in
+  :mod:`tests.golden.stream_reference`;
 * **equivalence** — :meth:`AirFinger.feed_block` must reproduce the same
   traces bit-for-bit at every block grouping, including sizes that split
   mid-gesture and mid-gap.
@@ -27,6 +28,7 @@ from tests.golden.stream_cases import (
     load_committed_traces,
     trace_events,
 )
+from tests.golden.stream_reference import ReferenceAirFinger
 
 # 1 and 10 (the serving batch) and the sizes either side of the crossover
 # pin both the per-sample replay and the numpy passes of every stage
@@ -48,7 +50,16 @@ class TestGoldenRegression:
         cases, committed = golden_streams
         for name, frames in cases.items():
             assert trace_events(frames) == committed[name], (
-                f"scalar pipeline drifted on golden stream {name!r}")
+                f"per-frame feed drifted on golden stream {name!r}")
+
+    def test_reference_reproduces_committed_traces(self, golden_streams):
+        cases, committed = golden_streams
+        for name, frames in cases.items():
+            engine = ReferenceAirFinger()
+            events = [e for f in frames for e in engine.feed(f)]
+            events += engine.flush()
+            assert [repr(e) for e in events] == committed[name], (
+                f"the reference engine drifted on golden stream {name!r}")
 
     def test_corpus_spans_the_event_vocabulary(self, golden_streams):
         _, committed = golden_streams

@@ -498,26 +498,115 @@ class TestSameMessageSet:
         assert [repr(e) for e in events] == _reference_events(frames)
 
     def test_engine_failure_ends_the_session_with_an_error(self):
-        """Frames the engine cannot take (the channel count changes
-        mid-stream) end that session with an ``internal`` error."""
-        two = [RssFrame(index=i, time_s=i / 100.0, values=(5.0, 6.0))
-               for i in range(20)]
-        one = [RssFrame(index=20, time_s=0.2, values=(5.0,))]
+        """An engine that fails on the frames it is handed ends that
+        session with an ``internal`` error."""
+        class FailingEngine(AirFinger):
+            def feed_block(self, frames):
+                raise RuntimeError("engine fault")
+
+        frames = [RssFrame(index=i, time_s=i / 100.0, values=(5.0, 6.0))
+                  for i in range(20)]
 
         async def run() -> str:
-            manager, _ = _registry_manager()
+            registry = MetricsRegistry()
+            manager = SessionManager(
+                engine_factory=lambda: FailingEngine(
+                    metrics=registry, tracer=Tracer(sample=0.0)),
+                metrics=registry, tracer=Tracer(sample=0.0))
             async with self.transport.server(manager) as server:
                 client = await self.transport.connect(server.port, "t0",
                                                       "dev0")
-                await client.send_frames(two)
-                await client.send_frames(one)
+                await client.send_frames(frames)
                 with pytest.raises(protocol.ProtocolError) as refused:
                     await client._request(None, lambda: False, "error",
                                           10.0)
                 client.close()
                 return str(refused.value)
 
-        assert "ValueError" in asyncio.run(run())
+        assert "RuntimeError: engine fault" in asyncio.run(run())
+
+    @pytest.mark.parametrize("refused", ["mixed", "changed"])
+    def test_channel_count_change_is_refused(self, refused, stream_cases):
+        """A ``frames`` message whose frames disagree on their channel
+        count, or whose count differs from the frames the session has
+        accepted, gets a ``protocol`` error; the session keeps its state
+        and serves on."""
+        _, frames = stream_cases[0]
+        cut = 200
+        chunk = self.transport.chunk
+        narrow = [RssFrame(index=f.index, time_s=f.time_s,
+                           values=f.values[:-1])
+                  for f in frames[cut:cut + 2]]
+        bad = [frames[cut], narrow[1]] if refused == "mixed" else narrow
+
+        async def run() -> tuple[str, list]:
+            manager, _ = _registry_manager()
+            async with self.transport.server(manager) as server:
+                dev = await self.transport.connect(server.port, "t0",
+                                                   "dev0")
+                for i in range(0, cut, chunk):
+                    await dev.send_frames(frames[i:min(i + chunk, cut)])
+                    await dev.pump()
+                session = manager.get("t0", "dev0")
+                while session.frames_in < cut or session.pending:
+                    await asyncio.sleep(0.01)
+                await dev.send_frames(bad)
+                with pytest.raises(protocol.ProtocolError) as refusal:
+                    await dev._request(None, lambda: False, "error", 10.0)
+                await _quiet(dev)
+                dev.close()
+                assert manager.get("t0", "dev0") is session
+                assert session.frames_in == cut
+                events = list(dev.events)
+                again = await self.transport.connect(server.port, "t0",
+                                                     "dev0")
+                events += await _stream(again, frames[cut:], chunk)
+                return str(refusal.value), events
+
+        detail, events = asyncio.run(run())
+        assert "channel" in detail, detail
+        assert [repr(e) for e in events] == _reference_events(frames)
+
+    def test_restored_session_keeps_its_channel_count(self, stream_cases):
+        """A restored session takes its channel count from its engine."""
+        _, frames = stream_cases[0]
+        cut = 100
+        narrow = [RssFrame(index=f.index, time_s=f.time_s,
+                           values=f.values[:-1])
+                  for f in frames[cut:cut + 10]]
+
+        async def run() -> str:
+            (manager_a, _), (manager_b, _) = (_registry_manager(),
+                                              _registry_manager())
+            async with self.transport.server(manager_a) as server_a, \
+                    self.transport.server(manager_b) as server_b:
+                dev = await self.transport.connect(server_a.port, "acme",
+                                                   "dev7")
+                await dev.send_frames(frames[:cut])
+                session = manager_a.get("acme", "dev7")
+                while session.frames_in < cut or session.pending:
+                    await asyncio.sleep(0.01)
+                ctl_a = await self.transport.connect(server_a.port,
+                                                     "_fleet", "ctl")
+                state = await ctl_a.checkpoint("acme", "dev7")
+                await ctl_a.bye()
+                dev.close()
+                ctl_b = await self.transport.connect(server_b.port,
+                                                     "_fleet", "ctl")
+                assert await ctl_b.restore(state) == "dev7"
+                await ctl_b.bye()
+                dev2 = await self.transport.connect(server_b.port, "acme",
+                                                    "dev7")
+                await dev2.send_frames(narrow)
+                with pytest.raises(protocol.ProtocolError) as refusal:
+                    await dev2._request(None, lambda: False, "error", 10.0)
+                dev2.close()
+                assert manager_b.get("acme", "dev7").frames_in == cut
+                return str(refusal.value)
+
+        width = len(frames[0].values)
+        assert (f"frames have {width - 1} channels; this session's have "
+                f"{width}") in asyncio.run(run())
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_input_gets_protocol_error(self, case, stream_cases):

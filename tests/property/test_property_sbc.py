@@ -50,7 +50,7 @@ def test_sbc_quadratic_scaling(x, w, scale):
 @settings(max_examples=40, deadline=None)
 def test_streaming_matches_offline(x, w):
     stream = StreamingSbc(w)
-    np.testing.assert_allclose(stream.push_many(x), sbc_transform(x, w),
+    np.testing.assert_allclose(stream.push_block(x), sbc_transform(x, w),
                                rtol=1e-9, atol=1e-9)
 
 

@@ -23,6 +23,7 @@ from repro.core.segmentation import (
 )
 from repro.obs import MetricsRegistry
 from repro.utils import fast_quantile
+from tests.golden.stream_reference import ReferenceChannelGuard
 
 
 def _rng(seed=0):
@@ -71,13 +72,16 @@ class TestStreamingSbcBlock:
 
 class TestChannelGuardBlock:
     def test_transitions_match_scalar(self):
+        """``push_block`` (and ``push``, a one-row ``push_block``) against
+        the parent's eager per-frame check."""
         rng = _rng(4)
         n, c = 400, 3
         x = rng.uniform(100, 1000, size=(n, c))
         x[120:260, 1] = 0.0          # flat channel -> mask
         x[300:, 2] = 65535.0         # saturated channel -> mask
-        scalar = ChannelGuard(n_channels=c)
+        scalar = ReferenceChannelGuard(n_channels=c)
         block = ChannelGuard(n_channels=c)
+        rows = ChannelGuard(n_channels=c)
         ref = []
         for i in range(n):
             for ch, masked, reason in scalar.push(tuple(x[i])):
@@ -88,9 +92,13 @@ class TestChannelGuardBlock:
                 for ch, masked, reason, _hold in transitions:
                     got.append((i + off, ch, masked, reason))
         assert got == ref
-        assert list(block.mask) == list(scalar.mask)
-        for ch in range(c):
-            assert repr(block.hold_value(ch)) == repr(scalar.hold_value(ch))
+        assert [(i, *t) for i in range(n)
+                for t in rows.push(tuple(x[i]))] == ref
+        for guard in (block, rows):
+            assert list(guard.mask) == list(scalar.mask)
+            for ch in range(c):
+                assert (repr(guard.hold_value(ch))
+                        == repr(scalar.hold_value(ch)))
 
 
 class TestSegmenterBlock:
