@@ -7,7 +7,8 @@ scaled-down ``main_campaign`` plan three ways —
   per-scene engine path (`photocurrents_ua`) the batched pipeline replaced;
 * **batched**: the serial :meth:`CampaignGenerator.capture_tasks` path
   through :meth:`RadiometricEngine.photocurrents_batch_ua`;
-* **parallel**: :class:`ParallelCampaignGenerator` at 4 workers.
+* **parallel**: :class:`ParallelCampaignGenerator` at one worker per core,
+  at most 4 (more workers than cores only queue behind each other).
 
 All three produce bit-identical corpora (asserted here on a subset), and
 the parallel path must clear the >= 3x end-to-end speedup target over the
@@ -17,6 +18,7 @@ benchmark JSON report via ``benchmark.extra_info``.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -34,7 +36,7 @@ from conftest import print_header
 # Scaled-down main campaign: 3 users x 2 sessions x 8 gestures x 2 reps.
 THROUGHPUT_CONFIG = CampaignConfig(
     n_users=3, n_sessions=2, repetitions=2, seed=2020)
-WORKERS = 4
+WORKERS = min(4, os.cpu_count() or 1)
 BATCH = 24
 SPEEDUP_TARGET = 3.0
 

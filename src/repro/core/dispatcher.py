@@ -26,7 +26,6 @@ harness uses.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -36,7 +35,7 @@ import numpy as np
 from repro.core.config import AirFingerConfig
 from repro.core.sbc import sbc_transform
 from repro.ml.tree import DecisionTreeClassifier
-from repro.utils import fast_quantile
+from repro.utils import box_kernel, fast_quantile, sorted_quantile
 
 __all__ = [
     "onset_times",
@@ -49,43 +48,17 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=16)
-def _box_kernel(k: int) -> np.ndarray:
-    """The ``k``-tap moving-average kernel ``np.ones(k) / k``, built once
-    and read-only, as every caller shares it.
-
-    It is symmetric, so ``np.correlate(x, kernel, "same")`` computes
-    ``np.convolve(x, kernel, "same")`` bit for bit, without the latter's
-    argument handling.
-    """
-    kernel = np.ones(k) / k
-    kernel.flags.writeable = False
-    return kernel
-
-
 def _low_quantile(column: np.ndarray, q: float = 0.1) -> float:
     """``fast_quantile(column, q)`` from one sort of the column.
 
     A sorted copy hands over the two bracketing order statistics at less
     fixed cost than ``fast_quantile``'s finiteness check and partition.
-    Non-finite columns (NaN sorts last, ±inf to the ends) and zero order
-    statistics, whose sign a sort and a partition may pick differently,
-    take ``fast_quantile`` itself.
+    Non-finite columns and zero order statistics, whose sign a sort and a
+    partition may pick differently, take ``fast_quantile`` itself (see
+    :func:`~repro.utils.sorted_quantile`).
     """
-    ordered = column.copy()
-    ordered.sort()
-    ordered = ordered.tolist()
-    virtual = q * (len(ordered) - 1)
-    lo = int(virtual)
-    below, above = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
-    if (not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1]))
-            or below == 0.0 or above == 0.0):
-        return fast_quantile(column, q)
-    gamma = virtual - lo
-    # fast_quantile's (numpy's) monotone lerp
-    if gamma >= 0.5:
-        return above - (above - below) * (1.0 - gamma)
-    return below + (above - below) * gamma
+    value = sorted_quantile(np.sort(column), q)
+    return fast_quantile(column, q) if value is None else value
 
 
 def _ascending_indices(rows: np.ndarray, level: float) -> list[int | None]:
@@ -139,7 +112,7 @@ def onset_times(rss_segment: np.ndarray,
         return [None] * len(delta)
     # short energy smoothing stabilizes the per-channel crossing instants
     if delta.shape[1] >= 3:
-        delta = np.array([np.correlate(row, _box_kernel(3), "same")
+        delta = np.array([np.correlate(row, box_kernel(3), "same")
                           for row in delta])
     level = max(gate, rise_fraction * float(delta.max()))
     return [None if idx is None else idx / sample_rate_hz
@@ -246,7 +219,7 @@ def sweep_statistics(rss_segment: np.ndarray,
     n = len(rss)
     if n < 4 or rss.shape[1] < 2:
         return SweepStatistics(0.0, 1.0, 1.0, 0.0, 0.0, 0, 1.0)
-    kernel = _box_kernel(min(smooth_window, n))
+    kernel = box_kernel(min(smooth_window, n))
     x1, x3 = rss[:, 0], rss[:, -1]
     e1 = np.correlate(np.maximum(x1 - _low_quantile(x1), 0.0), kernel, "same")
     e3 = np.correlate(np.maximum(x3 - _low_quantile(x3), 0.0), kernel, "same")

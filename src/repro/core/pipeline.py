@@ -502,9 +502,9 @@ class AirFinger:
 
         # --- prefilter -> combined -> SBC (exact) -----------------------
         filtered = self._frame_prefilter(n_channels).push_block(x)
-        # each row's channel sum from 0.0 in channel order, bit for bit
-        # float(sum(row)): accumulate adds left to right, and the + 0.0
-        # is the start value's only trace (an all -0.0 row sums to 0.0)
+        # each row's channel sum folded from 0.0 in channel order:
+        # accumulate adds left to right, and the + 0.0 is the start
+        # value's only trace (an all -0.0 row sums to 0.0)
         combined = np.add.accumulate(filtered, axis=1)[:, -1] + 0.0
         pieces = []
         prev = 0

@@ -15,6 +15,8 @@ The whole transform is O(n) via prefix sums.
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections import deque
 
 import numpy as np
@@ -217,6 +219,13 @@ def sbc_transform(signal: np.ndarray, window: int = 1) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
+def _fold(values: list) -> float:
+    """The sum of *values* added left to right from 0.0 — the order the
+    block pass accumulates in, and what ``sum()`` computed before
+    CPython 3.12 made it compensated."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 class StreamingSbc:
     """On-line SBC over one channel: push a sample, get ΔRSS² back.
 
@@ -247,7 +256,7 @@ class StreamingSbc:
                 out.append(0.0)
                 continue
             items = list(buf)
-            delta = (sum(items[w:]) - sum(items[:w])) / w
+            delta = (_fold(items[w:]) - _fold(items[:w])) / w
             out.append(delta * delta)
         self._count += len(values)
         return out
@@ -258,8 +267,8 @@ class StreamingSbc:
         Blocks shorter than :data:`BLOCK_CROSSOVER` run the per-push
         arithmetic in a loop.  Longer ones build the window sums by
         strided accumulation in the same left-to-right order as the
-        scalar ``sum()`` over the buffer, so every elementwise rounding
-        step matches the streaming path.
+        per-push fold over the buffer, so every elementwise rounding step
+        matches the streaming path.
         """
         x = np.asarray(values, dtype=np.float64).ravel()
         n = x.size

@@ -14,6 +14,7 @@ by less than ``t_e`` are clustered into a single gesture.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from repro.core.config import AirFingerConfig
 from repro.core.sbc import BLOCK_CROSSOVER
-from repro.utils import fast_quantile
+from repro.utils import fast_quantile, sorted_quantile
 
 __all__ = ["otsu_threshold", "Segment", "BlockSegmentation",
            "DynamicThresholdSegmenter"]
@@ -35,7 +36,8 @@ def otsu_threshold(values: np.ndarray,
     Parameters
     ----------
     values:
-        Accumulated ΔRSS² readings.
+        Accumulated ΔRSS² readings; NaN, ±inf and non-positive readings
+        take no part.
     n_bins:
         Histogram resolution of the candidate-threshold search.
     initial:
@@ -52,14 +54,21 @@ def otsu_threshold(values: np.ndarray,
     comparably sized and the maximizer lands in the valley between them.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
-    values = values[np.isfinite(values) & (values >= 0.0)]
-    if values.size < 16:
-        return float(initial)
-    positive = values[values > 0.0]
+    positive = values[np.isfinite(values) & (values > 0.0)]
+    positive.sort()
+    return _otsu_sorted(positive, n_bins, initial)
+
+
+def _otsu_sorted(positive: np.ndarray, n_bins: int, initial: float) -> float:
+    """:func:`otsu_threshold` of *positive*: finite samples > 0, ascending."""
     if positive.size < 16:
         return float(initial)
-    log_vals = np.log(positive)
-    lo, hi = float(log_vals.min()), float(log_vals.max())
+    logs = np.log(positive)
+    # the log of an ascending array ascends in exact arithmetic; check the
+    # rounded one rather than trust it
+    if not (logs[:-1] <= logs[1:]).all():
+        logs.sort()
+    lo, hi = float(logs[0]), float(logs[-1])
     if hi - lo < 1e-9:
         return float(initial)
     # np.linspace(lo, hi, n_bins + 1) spelled out (same bits, less overhead):
@@ -68,159 +77,32 @@ def otsu_threshold(values: np.ndarray,
     edges *= (hi - lo) / n_bins
     edges += lo
     edges[-1] = hi
-    # np.histogram(log_vals, bins=edges) without its sort/chunk machinery.
-    # Every value lies in [lo, hi] by construction, so the bin index is just
-    # the rightmost edge <= value, with the top edge folded into the last
-    # bin — np.histogram's half-open-except-last convention.
-    idx = np.searchsorted(edges, log_vals, side="right") - 1
-    np.minimum(idx, n_bins - 1, out=idx)
-    hist = np.bincount(idx, minlength=n_bins)
-    total = hist.sum()
-    if total == 0:
-        return float(initial)
+    # np.histogram(logs, bins=edges): a sample falls in bin j when
+    # edges[j] <= it < edges[j + 1], the top edge folded into the last bin,
+    # so the samples of bins 0..j are those below edge j + 1 — one binary
+    # search per inner edge in the sorted logs counts them
+    w_cum = np.empty(n_bins, dtype=np.intp)
+    w_cum[:-1] = np.searchsorted(logs, edges[1:-1], side="left")
+    total = logs.size
+    w_cum[-1] = total
+    hist = w_cum.copy()
+    hist[1:] -= w_cum[:-1]
     centers = 0.5 * (edges[:-1] + edges[1:])  # log-space bin centres
-    w_cum = np.cumsum(hist)
-    mass_cum = np.cumsum(hist * centers)
+    mass_cum = np.add.accumulate(hist * centers)
     mass_total = mass_cum[-1]
     # candidate threshold after each bin: class NG = bins <= k, G = bins > k
-    w1 = w_cum[:-1] / total                       # NG weight
+    # (every count and mass is finite and each class count is floored at
+    # 1, so every score is finite)
+    w_cum = w_cum[:-1]
+    w1 = w_cum / total                            # NG weight
     w0 = 1.0 - w1                                 # G weight
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu1 = mass_cum[:-1] / np.maximum(w_cum[:-1], 1)
-        mu0 = (mass_total - mass_cum[:-1]) / np.maximum(total - w_cum[:-1], 1)
+    mu1 = mass_cum[:-1] / np.maximum(w_cum, 1)
+    mu0 = (mass_total - mass_cum[:-1]) / np.maximum(total - w_cum, 1)
     score = w0 * w1 * (mu0 - mu1) ** 2
-    score[~np.isfinite(score)] = -1.0
-    k = int(np.argmax(score))
+    k = int(score.argmax())
     if score[k] <= 0:
         return float(initial)
     return float(np.exp(edges[k + 1]))
-
-
-def _otsu_batch(values: np.ndarray, n_bins: int,
-                initial: float,
-                logs: np.ndarray | None = None) -> np.ndarray | None:
-    """Row-wise :func:`otsu_threshold` over ``(R, W)`` finite samples.
-
-    Every elementwise expression mirrors the scalar function, and the
-    reductions (counts, min/max, histogram, argmax tie-breaking) are
-    order-independent, so each returned threshold carries the exact bits
-    of ``otsu_threshold(values[r])``.  Rows may be arbitrary permutations
-    of their windows (e.g. partition leftovers).  Callers must guarantee
-    finite non-negative inputs and ``W >= 16``; returns ``None`` if the
-    histogram index search fails to settle (caller falls back to the
-    scalar path).
-
-    *logs*, when given, must be ``np.log`` of the positive elements of
-    *values* (non-positive slots may hold anything — they are replaced
-    before use).  The log is elementwise, so precomputing it once per
-    history sample and slicing windows out of it yields the same bits as
-    taking it per window — which matters because refresh windows overlap
-    ``W / refresh_every``-fold.
-    """
-    n_rows, width = values.shape
-    out = np.full(n_rows, float(initial))
-    pos_mask = values > 0.0
-    pos_count = np.count_nonzero(pos_mask, axis=1)
-    valid = pos_count >= 16
-    if not np.any(valid):
-        return out
-    # log-range per row: the log is weakly monotone, so the min positive /
-    # max value map to the scalar code's log_vals.min()/.max() bits.
-    # Invalid rows get a harmless [0, 1) range so the shared kernels below
-    # stay warning-free; their output is overwritten with `initial`.
-    min_pos = np.where(pos_mask, values, np.inf).min(axis=1)
-    max_val = values.max(axis=1)
-    lo = np.log(np.where(valid, min_pos, 1.0))
-    hi = np.log(np.where(valid, max_val, np.e))
-    valid &= (hi - lo) >= 1e-9
-    lo = np.where(valid, lo, 0.0)
-    hi = np.where(valid, hi, 1.0)
-    step = (hi - lo) / n_bins
-    # edges: same arithmetic as the scalar code's arange * step + lo
-    edges = np.arange(0, n_bins + 1, dtype=np.float64) * step[:, None]
-    edges += lo[:, None]
-    edges[:, -1] = hi
-    # bin index per element: arithmetic guess, then an exact fixed-point
-    # correction against the edges — the stable point is the unique bin
-    # with edges[j] <= x < edges[j+1] (top edge folded into the last bin),
-    # i.e. precisely searchsorted(edges, x, 'right') - 1 with the clamp.
-    use = pos_mask if valid.all() else pos_mask & valid[:, None]
-    if logs is None:
-        logs = np.log(np.where(use, values,
-                               np.where(valid, min_pos, 1.0)[:, None]))
-    elif not use.all():
-        # unused slots must settle in the correction loop below: park them
-        # on lo (their bin is discarded either way)
-        logs = np.where(use, logs, lo[:, None])
-    idx = ((logs - lo[:, None]) / step[:, None]).astype(np.int64)
-    np.clip(idx, 0, n_bins - 1, out=idx)
-    # Edge values are recomputed arithmetically (idx * step + lo, with the
-    # top edge pinned to hi) instead of gathered from the edges matrix —
-    # the identical multiply-then-add order means identical bits, and it
-    # avoids two full-size fancy-gather passes per correction round.
-    step_col = step[:, None]
-    lo_col = lo[:, None]
-    hi_col = hi[:, None]
-    # full-matrix verify once; each element's fixed-point iteration is
-    # independent of every other, so an element that does not move here is
-    # settled for good and later rounds only touch the movers (normally a
-    # handful of edge-straddling samples, not the whole matrix)
-    idx_f = idx.astype(np.float64)
-    at = idx_f * step_col
-    at += lo_col
-    nxt = (idx_f + 1.0) * step_col
-    nxt += lo_col
-    is_last = idx == n_bins - 1
-    np.copyto(nxt, hi_col, where=is_last)
-    dec = logs < at
-    inc = (nxt <= logs) & ~dec & ~is_last
-    if dec.any() or inc.any():
-        idx -= dec
-        idx += inc
-        rows, cols = np.nonzero(dec | inc)
-        logs_e = logs[rows, cols]
-        step_e = step[rows]
-        lo_e = lo[rows]
-        hi_e = hi[rows]
-        idx_e = idx[rows, cols]
-        for _ in range(1 + n_bins):
-            idx_ef = idx_e.astype(np.float64)
-            at_e = idx_ef * step_e
-            at_e += lo_e
-            nxt_e = (idx_ef + 1.0) * step_e
-            nxt_e += lo_e
-            np.copyto(nxt_e, hi_e, where=idx_e == n_bins - 1)
-            dec_e = logs_e < at_e
-            inc_e = (nxt_e <= logs_e) & ~dec_e & (idx_e < n_bins - 1)
-            if not dec_e.any() and not inc_e.any():
-                break
-            idx_e -= dec_e
-            idx_e += inc_e
-        else:
-            return None
-        idx[rows, cols] = idx_e
-    # histogram per row: masked elements go to a discard bin per row
-    # (`idx` is dead after this, so alias it when nothing is discarded)
-    bins = idx if use is pos_mask and use.all() else np.where(use, idx, n_bins)
-    bins += np.arange(n_rows)[:, None] * (n_bins + 1)
-    hist = np.bincount(bins.ravel(), minlength=n_rows * (n_bins + 1))
-    hist = hist.reshape(n_rows, n_bins + 1)[:, :n_bins]
-    total = np.where(valid, pos_count, 1)
-    centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    w_cum = np.cumsum(hist, axis=1)
-    mass_cum = np.cumsum(hist * centers, axis=1)
-    mass_total = mass_cum[:, -1:]
-    w1 = w_cum[:, :-1] / total[:, None]
-    w0 = 1.0 - w1
-    mu1 = mass_cum[:, :-1] / np.maximum(w_cum[:, :-1], 1)
-    mu0 = (mass_total - mass_cum[:, :-1]) / np.maximum(
-        total[:, None] - w_cum[:, :-1], 1)
-    score = w0 * w1 * (mu0 - mu1) ** 2
-    k = np.argmax(score, axis=1)
-    rows = np.arange(n_rows)
-    best = score[rows, k]
-    thr = np.exp(edges[rows, k + 1])
-    return np.where(valid & (best > 0), thr, float(initial))
 
 
 @dataclass(frozen=True)
@@ -331,75 +213,34 @@ class DynamicThresholdSegmenter:
         """The refreshed threshold for *history*, or None to keep the old one.
 
         The refresh math (quantile, Otsu histogram) is order-independent,
-        so *history* may arrive in any permutation of the window.
+        so *history* may arrive in any permutation of the window; it reads
+        both from one sorted copy.
         """
+        config = self.config
         # Otsu needs both modes (noise and gesture) in view to be
         # meaningful; hold the initial threshold until a second of data has
         # accumulated.
-        if history.size < self.config.sample_rate_hz:
+        if history.size < config.sample_rate_hz:
             return None
+        ordered = np.sort(history)
         # The noise floor is estimated from the 25th percentile: even with a
         # heavy gesture duty cycle most history samples are quiet, so this
         # quantile tracks the noise mode and never creeps up with gestures.
-        noise_level = fast_quantile(history, 0.25)
-        floor = max(self.config.threshold_floor_factor * noise_level, 1e-9)
-        otsu = otsu_threshold(history,
-                              n_bins=self.config.otsu_bins,
-                              initial=self.config.initial_threshold)
+        noise_level = sorted_quantile(ordered, 0.25)
+        if noise_level is None:
+            noise_level = fast_quantile(history, 0.25)
+        floor = max(config.threshold_floor_factor * noise_level, 1e-9)
+        if math.isfinite(ordered[0]) and math.isfinite(ordered[-1]):
+            positive = ordered[np.searchsorted(ordered, 0.0, side="right"):]
+        else:  # NaN sorts last, ±inf to the ends
+            positive = ordered[np.isfinite(ordered) & (ordered > 0.0)]
+        otsu = _otsu_sorted(positive, config.otsu_bins,
+                            config.initial_threshold)
         if otsu > 100.0 * floor:
             # Otsu split inside the gesture mode (e.g. the history holds
             # mostly strong gestures); fall back to the noise-based floor.
             return floor
         return max(otsu, floor)
-
-    def _refresh_batch(self, windows: np.ndarray,
-                       logs: np.ndarray | None = None) -> np.ndarray | None:
-        """Vectorized :meth:`_refresh_from` over full history windows.
-
-        *windows* is ``(R, W)`` with ``W == history_samples`` (callers
-        route partial windows through the scalar path); *logs*, when
-        given, is the matching window view over the precomputed
-        elementwise log of the history (see :func:`_otsu_batch`).
-        Returns the ``(R,)`` refreshed thresholds, bit-identical to
-        calling :meth:`_refresh_from` on each row, or ``None`` when a row
-        needs the scalar fallback (non-finite values, degenerate
-        binning).
-
-        Each elementwise step reuses the exact scalar expressions, so
-        per-element bits match; the reductions involved (order
-        statistics, histogram counts, min/max) are order- and
-        batch-independent, which is what makes one fused pass over all
-        refresh points of a block legal.
-        """
-        if not np.all(np.isfinite(windows)):
-            return None
-        n_rows, width = windows.shape
-        config = self.config
-        # fast_quantile(history, 0.25) per row: partition at the two
-        # bracketing order statistics, numpy's lesser/greater-gamma lerp
-        virtual = 0.25 * (width - 1)
-        lo_i = int(virtual)
-        hi_i = min(lo_i + 1, width - 1)
-        gamma = virtual - lo_i
-        part = np.partition(windows, (lo_i, hi_i), axis=1)
-        below = part[:, lo_i]
-        above = part[:, hi_i]
-        diff = above - below
-        if gamma >= 0.5:
-            noise = above - diff * (1.0 - gamma)
-        else:
-            noise = below + diff * gamma
-        floor = np.maximum(config.threshold_floor_factor * noise, 1e-9)
-        # with precomputed logs the values must stay window-ordered so the
-        # elementwise log lines up; without, reuse the partition leftovers
-        # (every reduction inside is order-independent either way)
-        otsu = _otsu_batch(part if logs is None else windows,
-                           config.otsu_bins,
-                           config.initial_threshold, logs=logs)
-        if otsu is None:
-            return None
-        return np.where(otsu > 100.0 * floor, floor,
-                        np.maximum(otsu, floor))
 
     # ------------------------------------------------------------------
     def push(self, value: float) -> Segment | None:
@@ -418,10 +259,11 @@ class DynamicThresholdSegmenter:
         Blocks shorter than :data:`~repro.core.sbc.BLOCK_CROSSOVER` run
         :meth:`push`'s own per-sample loop over the whole block, with the
         state in locals.  Longer blocks run three passes: the envelope as one
-        accumulate, every threshold refresh of the block in one batched
-        Otsu, and the open/pending/gap state machine fast-forwarding
-        over quiet spans.  Besides the finished segments (with their
-        block offsets), the returned :class:`BlockSegmentation` exposes
+        accumulate, the block's threshold refreshes (each one
+        :meth:`_refresh_from` of its window), and the open/pending/gap
+        state machine fast-forwarding over quiet spans.  Besides the
+        finished segments (with their block offsets), the returned
+        :class:`BlockSegmentation` exposes
         the post-push ``open_start``/``threshold`` trajectory the
         pipeline needs to interleave live updates without re-reading
         (already advanced) segmenter state.
@@ -496,16 +338,13 @@ class DynamicThresholdSegmenter:
         # the deque discards all but the trailing maxlen raws anyway
         env_buf.extend(x[max(0, n - env_maxlen):].tolist())
 
-        # Pass 2 — threshold refreshes, batched. Refresh offsets are a
-        # fixed cadence; every refresh window is a tail of (prior ring
-        # content ++ envelope values), so all full windows of the block can
-        # be gathered into one matrix and pushed through the vectorized
-        # refresh in a single shot. Partial windows (cold start) and rows
-        # the batch declines go through the scalar path unchanged.
-        first_refresh = refresh_every - 1 - since
-        refreshed_thresholds: dict[int, float | None] = {}
-        offsets: list[int] = []
-        if first_refresh < n:
+        # Pass 2 — threshold refreshes. Refresh offsets are a fixed
+        # cadence, and every refresh window is a tail of (prior ring
+        # content ++ envelope values).
+        first_refresh = max(0, refresh_every - 1 - since)
+        offsets = range(first_refresh, n, refresh_every)
+        refreshed: list[float | None] = []
+        if offsets:
             if hist_len < hist_size:
                 prior = hist[:hist_len]
             elif hist_pos == 0:
@@ -513,30 +352,10 @@ class DynamicThresholdSegmenter:
             else:
                 prior = np.concatenate([hist[hist_pos:], hist[:hist_pos]])
             full_hist = np.concatenate([prior, env_arr])
-            offsets = list(range(max(0, first_refresh), n, refresh_every))
-            ends = [hist_len + off + 1 for off in offsets]
-            full_rows = [(off, end) for off, end in zip(offsets, ends)
-                         if end >= hist_size]
-            batched: np.ndarray | None = None
-            if full_rows:
-                starts = np.asarray([end - hist_size
-                                     for _, end in full_rows])
-                windows = np.lib.stride_tricks.sliding_window_view(
-                    full_hist, hist_size)[starts]
-                # one log per history sample instead of one per window
-                # element: refresh windows overlap almost entirely, and
-                # the log is elementwise, so the bits are unchanged
-                log_hist = np.log(np.where(full_hist > 0.0, full_hist, 1.0))
-                log_windows = np.lib.stride_tricks.sliding_window_view(
-                    log_hist, hist_size)[starts]
-                batched = self._refresh_batch(windows, logs=log_windows)
-            if batched is not None:
-                for (off, _), thr in zip(full_rows, batched):
-                    refreshed_thresholds[off] = float(thr)
-            for off, end in zip(offsets, ends):
-                if off not in refreshed_thresholds:
-                    window = full_hist[max(0, end - hist_size):end]
-                    refreshed_thresholds[off] = self._refresh_from(window)
+            for off in offsets:
+                end = hist_len + off + 1
+                refreshed.append(self._refresh_from(
+                    full_hist[max(0, end - hist_size):end]))
 
         # ring/state bookkeeping the scalar loop would have done per push
         if offsets:
@@ -557,15 +376,14 @@ class DynamicThresholdSegmenter:
         # quiescent spans (nothing open, nothing pending, no crossings) —
         # the overwhelmingly common case on idle-dominated streams — where
         # each scalar step is provably a no-op beyond ``index += 1``.
-        if refreshed_thresholds:
+        if offsets:
             thr_vals: list[float] = []
             span_lens: list[int] = []
             prev = 0
             cur_thr = threshold
-            for off in offsets:
+            for off, new_thr in zip(offsets, refreshed):
                 span_lens.append(off - prev)
                 thr_vals.append(cur_thr)
-                new_thr = refreshed_thresholds[off]
                 if new_thr is not None:
                     cur_thr = new_thr
                 prev = off

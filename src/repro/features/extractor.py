@@ -90,10 +90,13 @@ class FeatureExtractor:
         Series` that every feature reads, so intermediates several
         features share (the spectrum, autocorrelations, the entropies'
         tolerance matrix, ...) are computed once; each value is
-        bit-identical to ``spec.compute(signal)`` on its own.
+        bit-identical to ``spec.compute(signal)`` on its own, overflow as
+        quiet.
         """
         series = Series(signal)
-        return np.array([spec.compute(series) for spec in self.specs])
+        with np.errstate(all="ignore"):
+            return np.array([spec.finite_value(series)
+                             for spec in self.specs])
 
     def extract_many(self, signals: Sequence[np.ndarray]) -> np.ndarray:
         """Feature matrix ``(N, F)`` for a batch of signals.

@@ -9,9 +9,12 @@ scipy versions removed ``scipy.signal.ricker``.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
-from repro.features.series import Series, as_series
+from repro.features.series import Series, as_series, mean_of
 
 __all__ = [
     "fft_coefficient_abs",
@@ -33,16 +36,15 @@ def _spectrum(s: Series) -> tuple[np.ndarray, float]:
 
 
 def _compute_spectrum(s: Series) -> tuple[np.ndarray, float]:
-    x = s.x
-    mag = np.zeros(1) if x.size < 2 else np.abs(np.fft.rfft(x - s.mean()))
-    return mag, mag.sum()
+    mag = np.zeros(1) if s.x.size < 2 else np.abs(np.fft.rfft(s.centred()))
+    return mag, np.add.reduce(mag)
 
 
 def _centroid(mag: np.ndarray, total) -> tuple[np.ndarray, float]:
     """``(relative frequency of each bin, spectral centroid)``."""
     n_fft = 2 * (mag.size - 1) if mag.size > 1 else 1
     freqs = np.arange(mag.size) / max(n_fft, 1)
-    return freqs, np.sum(freqs * mag) / total
+    return freqs, np.add.reduce(freqs * mag) / total
 
 
 # ---------------------------------------------------------------------------
@@ -80,19 +82,19 @@ def fft_spectral_spread(x: np.ndarray | Series) -> float:
     if total < 1e-300:
         return 0.0
     freqs, centroid = s.memo("centroid", _centroid, mag, total)
-    return float(np.sqrt(np.sum(((freqs - centroid) ** 2) * mag) / total))
+    return math.sqrt(np.add.reduce(((freqs - centroid) ** 2) * mag) / total)
 
 
 def fft_spectral_entropy(x: np.ndarray | Series) -> float:
     """Shannon entropy of the normalized power spectrum (nats)."""
     mag = _spectrum(as_series(x))[0]
     power = mag * mag
-    total = power.sum()
+    total = np.add.reduce(power)
     if total < 1e-300:
         return 0.0
     p = power / total
     p = p[p > 1e-300]
-    return float(-np.sum(p * np.log(p)))
+    return float(-np.add.reduce(p * np.log(p)))
 
 
 def fft_peak_frequency_bin(x: np.ndarray | Series) -> float:
@@ -122,9 +124,20 @@ def ricker_wavelet(points: int, width: float) -> np.ndarray:
     return norm * (1.0 - (t * t) / (a * a)) * gauss
 
 
+@functools.lru_cache(maxsize=256)
+def _ricker_kernel(points: int, width: float) -> np.ndarray:
+    """:func:`ricker_wavelet`, built once per shape and read-only, as
+    every signal of a length shares it."""
+    kernel = ricker_wavelet(points, width)
+    kernel.flags.writeable = False
+    return kernel
+
+
 def _ricker_response(x: np.ndarray, width: float) -> np.ndarray:
-    points = min(10 * int(np.ceil(width)), max(x.size, 1))
-    return np.convolve(x, ricker_wavelet(points, width), mode="same")
+    points = min(10 * math.ceil(width), max(x.size, 1))
+    # the wavelet is symmetric and no longer than x, so correlating with it
+    # is np.convolve(x, wavelet, "same") bit for bit, minus the wrapper
+    return np.correlate(x, _ricker_kernel(points, width), "same")
 
 
 def cwt_ricker(x: np.ndarray | Series,
@@ -155,7 +168,7 @@ def cwt_energy(x: np.ndarray | Series, width: float = 5.0) -> float:
     if energy < 1e-300:
         return 0.0
     row = s.memo(("cwt", width), _ricker_response, s.x, width)
-    return float(np.mean(row * row) / energy)
+    return float(mean_of(row * row) / energy)
 
 
 def cwt_peak_width(x: np.ndarray | Series,

@@ -143,8 +143,16 @@ class FeatureSpec:
         """Evaluate the feature on *signal*, guaranteeing a finite float.
 
         *signal* is a raw array or a :class:`~repro.features.series.Series`
-        whose memoized intermediates the feature may share.
+        whose memoized intermediates the feature may share.  Floating-point
+        overflow on overflow-scale signals stays quiet: such a value comes
+        out non-finite and reads as 0.
         """
+        with np.errstate(all="ignore"):
+            return self.finite_value(signal)
+
+    def finite_value(self, signal: np.ndarray | Series) -> float:
+        """:meth:`compute` under the caller's floating-point error state
+        (the extractor sets it once for all of a signal's features)."""
         value = float(self.func(signal, **self.params))
         if not math.isfinite(value):
             return 0.0

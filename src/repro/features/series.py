@@ -3,21 +3,36 @@
 Every feature function accepts a raw array or a :class:`Series`.  Given
 a raw array it builds a private one; :class:`~repro.features.extractor.
 FeatureExtractor` builds one per signal and hands it to every feature,
-so the signal is cleaned once and each shared intermediate — moments,
+so the signal is cleaned once and each shared intermediate — the sorted
+samples, moments, the mean-removed and z-scored signal,
 autocorrelations, the Durbin–Levinson table, the AR fit, the tolerance
-matrix of both entropies, the chunk split, the linear fit, the moving
+matrix of both entropies, the chunk energies, the linear fit, the moving
 average, the spectrum, the Ricker responses — is computed by the first
 feature that needs it and reused by the rest.  A memoized value is the
 exact result the feature would have computed on its own, so every
 feature value is bit-identical either way.  The memo lives and dies with
 the series: nothing is cached across signals.
+
+The moments run the very reductions ``np.mean``, ``np.var`` and
+``np.std`` run — ``np.add.reduce(x) / n``; the mean-removed ``d``;
+``np.add.reduce(d * d) / n``; its square root — without those
+functions' argument handling, which costs several times the arithmetic
+on a segment-sized signal.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["Series", "as_series"]
+__all__ = ["Series", "as_series", "mean_of"]
+
+
+def mean_of(v: np.ndarray):
+    """``np.mean(v)`` of a non-empty float64 vector: the same pairwise
+    sum over the same count, without the wrapper."""
+    return np.add.reduce(v) / v.size
 
 
 class Series:
@@ -39,22 +54,35 @@ class Series:
             memo[key] = compute(*args)
         return memo[key]
 
+    def sorted(self) -> np.ndarray:
+        """The samples in ascending order."""
+        return self.memo("sorted", np.sort, self.x)
+
     # moments several families read (callers guard the empty signal)
     def mean(self):
-        return self.memo("mean", self.x.mean)
+        return self.memo("mean", mean_of, self.x)
+
+    def centred(self) -> np.ndarray:
+        """``x - mean``, the deviations ``np.var`` squares."""
+        return self.memo("centred", np.subtract, self.x, self.mean())
 
     def var(self):
-        return self.memo("var", np.var, self.x)
+        return self.memo("var", _mean_square, self.centred())
 
     def std(self):
-        return self.memo("std", np.std, self.x)
+        return self.memo("std", math.sqrt, self.var())
+
+    def zscore(self) -> np.ndarray:
+        """``(x - mean) / std`` (callers guard a zero std)."""
+        return self.memo("zscore", np.true_divide, self.centred(),
+                         self.std())
 
     def mean_square(self):
         return self.memo("mean_square", _mean_square, self.x)
 
 
-def _mean_square(x: np.ndarray):
-    return np.mean(x * x)
+def _mean_square(v: np.ndarray):
+    return mean_of(v * v)
 
 
 def as_series(x) -> Series:

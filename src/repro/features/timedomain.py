@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from repro.features.series import Series, as_series
+from repro.features.series import Series, as_series, mean_of
+from repro.utils import box_kernel, sorted_quantile
 
 __all__ = [
     "standard_deviation",
@@ -77,7 +78,7 @@ def count_above_mean(x: np.ndarray | Series) -> float:
     s = as_series(x)
     if s.x.size == 0:
         return 0.0
-    return float(np.mean(s.x > s.mean()))
+    return np.count_nonzero(s.x > s.mean()) / s.x.size
 
 
 def count_below_mean(x: np.ndarray | Series) -> float:
@@ -85,7 +86,7 @@ def count_below_mean(x: np.ndarray | Series) -> float:
     s = as_series(x)
     if s.x.size == 0:
         return 0.0
-    return float(np.mean(s.x < s.mean()))
+    return np.count_nonzero(s.x < s.mean()) / s.x.size
 
 
 def last_location_of_maximum(x: np.ndarray | Series) -> float:
@@ -113,17 +114,20 @@ def first_location_of_minimum(x: np.ndarray | Series) -> float:
 
 
 def quantile(x: np.ndarray | Series, q: float = 0.5) -> float:
-    """The q-quantile of the series.
+    """The q-quantile of the series: ``np.quantile(x, q)``.
 
-    One ``np.quantile`` call per *q*: the vectorized ``np.quantile(x, qs)``
-    can differ from it in the sign of a zero.
+    Read off the series' sorted samples, every *q* from the one sort; a
+    zero order statistic takes ``np.quantile`` itself, whose partition may
+    pick a different signed zero than the sort (as may the vectorized
+    ``np.quantile(x, qs)``).
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be within [0, 1], got {q}")
-    x = as_series(x).x
-    if x.size == 0:
+    s = as_series(x)
+    if s.x.size == 0:
         return 0.0
-    return float(np.quantile(x, q))
+    value = sorted_quantile(s.sorted(), q)
+    return float(np.quantile(s.x, q)) if value is None else value
 
 
 def series_length(x: np.ndarray | Series) -> float:
@@ -139,18 +143,20 @@ def _autocorrelation(x: np.ndarray, lag: int) -> float:
     n = x.size
     if n <= lag + 1:
         return 0.0
+    # each half's deviations from its own mean, as np.var forms them
     head = x[:-lag]
+    head = head - mean_of(head)
     tail = x[lag:]
+    tail = tail - mean_of(tail)
     # sqrt each variance before multiplying: the product of two tiny
     # variances (a near-constant series of denormal-scale values) can
     # underflow to zero even when both factors are representable
-    s_head = float(np.sqrt(head.var()))
-    s_tail = float(np.sqrt(tail.var()))
+    s_head = math.sqrt(mean_of(head * head))
+    s_tail = math.sqrt(mean_of(tail * tail))
     denominator = s_head * s_tail
     if denominator < 1e-300:
         return 0.0
-    cov = np.mean((head - head.mean()) * (tail - tail.mean()))
-    return _clip1(cov / denominator)
+    return _clip1(mean_of(head * tail) / denominator)
 
 
 def _acf(s: Series, lag: int) -> float:
@@ -219,13 +225,22 @@ def partial_autocorrelation(x: np.ndarray | Series, lag: int = 1) -> float:
     return _clip1(s.memo(("pacf", lag), _durbin_levinson, s, lag)[lag])
 
 
-def _ar_fit(x: np.ndarray, order: int) -> np.ndarray:
+def _lstsq(design: np.ndarray, target: np.ndarray):
+    """``np.linalg.lstsq``'s ``(coefficients, rank)``, or None when the
+    design or the target holds a non-finite value (LAPACK would fail to
+    converge on it)."""
+    if not (np.isfinite(design).all() and np.isfinite(target).all()):
+        return None
+    coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    return coeffs, rank
+
+
+def _ar_fit(x: np.ndarray, order: int) -> np.ndarray | None:
     n = x.size
     rows = np.stack([x[order - j - 1: n - j - 1] for j in range(order)], axis=1)
     design = np.column_stack([np.ones(len(rows)), rows])
-    target = x[order:]
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return coeffs
+    fit = _lstsq(design, x[order:])
+    return None if fit is None else fit[0]
 
 
 def ar_coefficient(x: np.ndarray | Series, k: int = 1, order: int = 4) -> float:
@@ -237,7 +252,10 @@ def ar_coefficient(x: np.ndarray | Series, k: int = 1, order: int = 4) -> float:
     s = as_series(x)
     if s.x.size <= order + 2:
         return 0.0
-    value = float(s.memo(("ar", order), _ar_fit, s.x, order)[k])
+    coeffs = s.memo(("ar", order), _ar_fit, s.x, order)
+    if coeffs is None:
+        return 0.0
+    value = float(coeffs[k])
     return value if math.isfinite(value) else 0.0
 
 
@@ -290,7 +308,7 @@ def approximate_entropy(x: np.ndarray | Series, m: int = 2,
     def phi(mm: int) -> float:
         counts = _matches(s, mm, r_factor).sum(axis=1).astype(np.float64)
         frac = counts / (n - mm + 1)
-        return float(np.mean(np.log(np.maximum(frac, 1e-300))))
+        return float(mean_of(np.log(np.maximum(frac, 1e-300))))
 
     return abs(phi(m) - phi(m + 1))
 
@@ -329,11 +347,11 @@ def complexity_invariant_distance(x: np.ndarray | Series,
     if x.size < 2:
         return 0.0
     if normalize:
-        std = s.std()
-        if std < 1e-300:
+        if s.std() < 1e-300:
             return 0.0
-        x = (x - s.mean()) / std
-    return float(np.sqrt(np.sum(np.diff(x) ** 2)))
+        x = s.zscore()
+    step = x[1:] - x[:-1]
+    return math.sqrt(np.add.reduce(step * step))
 
 
 def c3(x: np.ndarray | Series, lag: int = 1) -> float:
@@ -344,7 +362,7 @@ def c3(x: np.ndarray | Series, lag: int = 1) -> float:
     n = x.size
     if n <= 2 * lag:
         return 0.0
-    return float(np.mean(x[2 * lag:] * x[lag:n - lag] * x[: n - 2 * lag]))
+    return float(mean_of(x[2 * lag:] * x[lag:n - lag] * x[: n - 2 * lag]))
 
 
 def time_reversal_asymmetry(x: np.ndarray | Series, lag: int = 1) -> float:
@@ -358,7 +376,7 @@ def time_reversal_asymmetry(x: np.ndarray | Series, lag: int = 1) -> float:
     a = x[2 * lag:]
     b = x[lag: n - lag]
     c = x[: n - 2 * lag]
-    return float(np.mean(a * a * b - b * c * c))
+    return float(mean_of(a * a * b - b * c * c))
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +388,9 @@ def kurtosis(x: np.ndarray | Series) -> float:
     s = as_series(x)
     if s.x.size < 4:
         return 0.0
-    std = s.std()
-    if std < 1e-300:
+    if s.std() < 1e-300:
         return 0.0
-    return float(np.mean(((s.x - s.mean()) / std) ** 4) - 3.0)
+    return float(mean_of(s.zscore() ** 4) - 3.0)
 
 
 def _longest_run(mask: np.ndarray) -> int:
@@ -403,7 +420,8 @@ def longest_strike_below_mean(x: np.ndarray | Series) -> float:
 
 
 def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
-    return np.convolve(x, np.ones(width) / width, mode="same")
+    # np.convolve(x, kernel, "same"): x is at least width long
+    return np.correlate(x, box_kernel(width), "same")
 
 
 def number_of_peaks(x: np.ndarray | Series, support: int = 3,
@@ -451,12 +469,18 @@ def mean_absolute_change(x: np.ndarray | Series) -> float:
     x = as_series(x).x
     if x.size < 2:
         return 0.0
-    return float(np.mean(np.abs(np.diff(x))))
+    return float(mean_of(np.abs(x[1:] - x[:-1])))
 
 
-def _chunks(x: np.ndarray, n_chunks: int) -> tuple[float, list]:
-    """``(total energy, chunks)``."""
-    return float(np.sum(x * x)), np.array_split(x, n_chunks)
+def _chunks(x: np.ndarray, n_chunks: int) -> tuple[float, np.ndarray,
+                                                   list[int]]:
+    """``(total energy, x * x, chunk bounds)``: chunk i is
+    ``[bounds[i], bounds[i + 1])``, as ``np.array_split`` cuts it — the
+    first ``n % n_chunks`` chunks one sample longer than the rest."""
+    size, extra = divmod(x.size, n_chunks)
+    bounds = [i * size + min(i, extra) for i in range(n_chunks + 1)]
+    square = x * x
+    return float(np.add.reduce(square)), square, bounds
 
 
 def energy_ratio_by_chunks(x: np.ndarray | Series, n_chunks: int = 10,
@@ -469,27 +493,28 @@ def energy_ratio_by_chunks(x: np.ndarray | Series, n_chunks: int = 10,
     s = as_series(x)
     if s.x.size == 0:
         return 0.0
-    total, parts = s.memo(("chunks", n_chunks), _chunks, s.x, n_chunks)
+    total, square, bounds = s.memo(("chunks", n_chunks), _chunks, s.x,
+                                   n_chunks)
     if total < 1e-300:
         return 0.0
-    return float(np.sum(parts[chunk] ** 2) / total)
+    part = square[bounds[chunk]:bounds[chunk + 1]]
+    return float(np.add.reduce(part) / total)
 
 
 # ---------------------------------------------------------------------------
 # trend & stationarity
 # ---------------------------------------------------------------------------
 
-def _linear_fit(x: np.ndarray, mean) -> tuple[float, float]:
-    """(slope, r^2) of x against its sample index."""
-    n = x.size
-    t = np.arange(n, dtype=np.float64)
-    t -= t.mean()
-    y = x - mean
-    denom = np.sum(t * t)
+def _linear_fit(y: np.ndarray) -> tuple[float, float]:
+    """(slope, r^2) of the mean-removed series *y* against its sample
+    index."""
+    t = np.arange(y.size, dtype=np.float64)
+    t -= mean_of(t)
+    denom = np.add.reduce(t * t)
     if denom < 1e-300:
         return 0.0, 0.0
-    slope = float(np.sum(t * y) / denom)
-    ss_tot = float(np.sum(y * y))
+    slope = float(np.add.reduce(t * y) / denom)
+    ss_tot = float(np.add.reduce(y * y))
     if ss_tot < 1e-300:
         return slope, 0.0
     ss_reg = slope * slope * denom
@@ -501,7 +526,7 @@ def linear_trend_slope(x: np.ndarray | Series) -> float:
     s = as_series(x)
     if s.x.size < 2:
         return 0.0
-    return s.memo("linear_fit", _linear_fit, s.x, s.mean())[0]
+    return s.memo("linear_fit", _linear_fit, s.centred())[0]
 
 
 def linear_trend_r2(x: np.ndarray | Series) -> float:
@@ -509,7 +534,7 @@ def linear_trend_r2(x: np.ndarray | Series) -> float:
     s = as_series(x)
     if s.x.size < 2:
         return 0.0
-    return s.memo("linear_fit", _linear_fit, s.x, s.mean())[1]
+    return s.memo("linear_fit", _linear_fit, s.centred())[1]
 
 
 def augmented_dickey_fuller(x: np.ndarray | Series, max_lag: int = 1) -> float:
@@ -532,7 +557,10 @@ def augmented_dickey_fuller(x: np.ndarray | Series, max_lag: int = 1) -> float:
     for i in range(1, max_lag + 1):
         cols.append(dx[start - i: dx.size - i])
     design = np.column_stack(cols)
-    coeffs, residuals, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    fit = _lstsq(design, target)
+    if fit is None:
+        return 0.0
+    coeffs, rank = fit
     dof = target.size - design.shape[1]
     if dof <= 0 or rank < design.shape[1]:
         return 0.0

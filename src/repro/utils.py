@@ -10,7 +10,9 @@ random stream regardless of generation order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,10 +24,12 @@ __all__ = [
     "as_float_array",
     "chunked",
     "fast_quantile",
+    "sorted_quantile",
     "validate_positive",
     "validate_fraction",
     "validate_window",
     "moving_average",
+    "box_kernel",
     "clamp",
 ]
 
@@ -119,6 +123,33 @@ def fast_quantile(values: np.ndarray, q: float) -> float:
     return float(below + diff * gamma)
 
 
+def sorted_quantile(ordered, q: float) -> float | None:
+    """``np.quantile(a, q)`` read off *ordered*, an ascending copy of ``a``.
+
+    The two bracketing order statistics come straight from the sorted
+    array or list and numpy's monotone lerp (:func:`fast_quantile`'s)
+    joins them, so the answer carries ``np.quantile``'s bits without any
+    partition.  Returns None when *ordered* holds a non-finite value
+    (NaN sorts last, ±inf to the ends) or a bracketing order statistic is
+    zero: ``np.quantile`` then propagates NaN, or its answer depends on
+    which signed zero its partition picked — callers take
+    :func:`fast_quantile` instead.
+    """
+    n = len(ordered)
+    virtual = q * (n - 1)
+    lo = int(virtual)
+    below = float(ordered[lo])
+    above = float(ordered[min(lo + 1, n - 1)])
+    if (not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1]))
+            or below == 0.0 or above == 0.0):
+        return None
+    gamma = virtual - lo
+    diff = above - below
+    if gamma >= 0.5:
+        return above - diff * (1.0 - gamma)
+    return below + diff * gamma
+
+
 def validate_positive(value: float, name: str) -> float:
     """Raise ``ValueError`` unless *value* is a finite positive number."""
     value = float(value)
@@ -155,6 +186,20 @@ def moving_average(signal: Sequence[float], window: int) -> np.ndarray:
     sums = np.convolve(arr, kernel, mode="same")
     counts = np.convolve(np.ones_like(arr), kernel, mode="same")
     return sums / counts
+
+
+@functools.lru_cache(maxsize=32)
+def box_kernel(k: int) -> np.ndarray:
+    """The ``k``-tap moving-average kernel ``np.ones(k) / k``, built once
+    and read-only, as every caller shares it.
+
+    It is symmetric, so for a signal at least ``k`` long
+    ``np.correlate(x, kernel, "same")`` computes ``np.convolve(x, kernel,
+    "same")`` bit for bit, without the latter's argument handling.
+    """
+    kernel = np.ones(k) / k
+    kernel.flags.writeable = False
+    return kernel
 
 
 def clamp(value: float, low: float, high: float) -> float:

@@ -6,6 +6,9 @@ so the whole suite pays for them once.
 
 from __future__ import annotations
 
+import builtins
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,46 @@ from repro.hand.gestures import GestureSpec, synthesize_gesture
 from repro.hand.finger import scene_for_trajectory
 from repro.noise.ambient import indoor_ambient
 from repro.optics.array import airfinger_array
+
+
+def neumaier_sum(iterable, start=0):
+    """``sum()`` as CPython 3.12 computes it: once the running total is a
+    float, each float is added with Neumaier's compensation and the
+    compensation joins the total at the end (if it is finite and nonzero).
+    Older CPythons fold left to right from the start value instead."""
+    items = iter(iterable)
+    total = start
+    for item in items:
+        total = total + item
+        if type(total) is float:
+            break
+    else:
+        return total
+    compensation = 0.0
+    for item in items:
+        if type(item) is not float:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            compensation = 0.0
+            total = total + item
+            continue
+        t = total + item
+        if abs(total) >= abs(item):
+            compensation += (total - t) + item
+        else:
+            compensation += (item - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+@pytest.fixture
+def compensated_sum(monkeypatch):
+    """Builtin ``sum()`` replaced by CPython 3.12's compensated one, so a
+    3.11 run shows whether code leans on the plain left fold."""
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    return neumaier_sum
 
 
 @pytest.fixture(scope="session")

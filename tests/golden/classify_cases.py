@@ -9,7 +9,7 @@ This set does, in ``classify_traces.json``:
 * ``features`` — the full-registry feature vector of each of those and
   of the adversarial signals :func:`adversarial_signals` builds (lengths
   0–8, constant, signed zeros, NaN/±inf, denormals, heavy ties,
-  4 001 samples), as float64 bytes;
+  4 001 samples, overflow scale), as float64 bytes;
 * ``proba`` — :meth:`predict_proba` of the detector's forest, trained
   from a small fixed campaign (``random_state=7``), on those rows;
 * ``events`` — each golden stream case's event ``repr`` trace with that
@@ -111,6 +111,12 @@ def adversarial_signals() -> dict[str, np.ndarray]:
     out["spike"] = spike
     out["alternating"] = np.tile([1.0, -1.0], 45)
     out["long_4001"] = rng.normal(0.0, 10.0, 4001) ** 2
+    # overflow scale: squares, sums and products overflow, and the
+    # differences of ±1.7e308 samples leave ADF's regression non-finite
+    out["overflow_1e280"] = rng.uniform(0.0, 1e280, 48)
+    out["overflow_1e300"] = rng.normal(0.0, 1.0, 48) ** 2 * 1e300
+    out["overflow_signed_1e308"] = np.where(rng.random(48) < 0.5,
+                                            1.7e308, -1.7e308)
     return out
 
 

@@ -12,13 +12,17 @@ against it.  The method bodies are the parent's, verbatim; only the
 imports, the two subclasses, the guard class ``_guard_frame`` builds,
 the explicit live-update arguments (the engine no longer reads the live
 segmenter for them), :meth:`ReferenceAirFinger.feed_block` and
-:func:`books` are new.  The segment handlers (``_handle_segment``,
-``_maybe_live_update``) are the engine's own; the dispatch goldens pin
-them.
+:func:`books` are new, and ``_ingest`` sums the channels with an explicit
+left fold from 0.0 where it called ``sum()``: CPython 3.12 compensates
+``sum()``, and the fold is what 3.11 computed and what the engine does.
+The segment handlers (``_handle_segment``, ``_maybe_live_update``) are
+the engine's own; the dispatch goldens pin them.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from time import perf_counter
 
 import numpy as np
@@ -158,7 +162,7 @@ class ReferenceAirFinger(AirFinger):
         filtered = self._frame_prefilter(len(values)).push(values)
         self._raw.append(filtered)
         self._last_time_s = time_s
-        combined = float(sum(filtered))
+        combined = float(functools.reduce(operator.add, filtered, 0.0))
         delta = self._combined_sbc.push(combined)
         self._delta.append(delta)
         self._pos += 1

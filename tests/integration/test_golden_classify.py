@@ -58,6 +58,17 @@ class TestFeatureBits:
         lengths = {signal.size for signal in signals.values()}
         assert {0, 1, 2, 3, 4, 5, 6, 7, 8, 4001} <= lengths
 
+    def test_overflow_scale_signals(self, golden):
+        """Signals whose squares overflow extract to finite vectors, with
+        no floating-point warning (the suite raises on one) and no LAPACK
+        failure."""
+        signals = golden_signals(golden)
+        huge = [name for name, signal in signals.items()
+                if signal.size and np.abs(signal).max() >= 1e280]
+        assert len(huge) >= 3
+        X = FeatureExtractor.full().extract_many([signals[n] for n in huge])
+        assert np.isfinite(X).all()
+
     def test_full_registry_matrix(self, golden):
         signals = golden_signals(golden)
         X = FeatureExtractor.full().extract_many(list(signals.values()))

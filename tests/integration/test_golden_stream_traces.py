@@ -19,8 +19,10 @@ lines mean equal bits.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.pipeline import AirFinger
 from repro.core.sbc import BLOCK_CROSSOVER
 from tests.golden.stream_cases import (
     STREAM_CASES,
@@ -58,6 +60,24 @@ class TestGoldenRegression:
             engine = ReferenceAirFinger()
             events = [e for f in frames for e in engine.feed(f)]
             events += engine.flush()
+            assert [repr(e) for e in events] == committed[name], (
+                f"the reference engine drifted on golden stream {name!r}")
+
+    def test_reference_reproduces_committed_traces_under_compensated_sum(
+            self, golden_streams, compensated_sum):
+        """The reference sums each frame's channels left to right from
+        0.0, as the engine's block pass does, whatever ``sum()`` does
+        (CPython 3.12 compensates it): same events, same ΔRSS² bits."""
+        cases, committed = golden_streams
+        for name, frames in cases.items():
+            reference = ReferenceAirFinger()
+            events = [e for f in frames for e in reference.feed(f)]
+            engine = AirFinger()
+            engine.feed_block(frames)
+            assert (np.array(reference._delta).view(np.uint64).tolist()
+                    == np.array(engine._delta).view(np.uint64).tolist()), (
+                f"ΔRSS² drifted on golden stream {name!r}")
+            events += reference.flush()
             assert [repr(e) for e in events] == committed[name], (
                 f"the reference engine drifted on golden stream {name!r}")
 

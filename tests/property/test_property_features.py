@@ -9,6 +9,7 @@ from repro.features import frequency as fd
 from repro.features import timedomain as td
 from repro.features.extractor import FeatureExtractor
 from repro.features.registry import extended_registry, feature_registry
+from repro.features.series import Series
 
 signals = arrays(
     dtype=np.float64,
@@ -86,6 +87,47 @@ def test_extract_matches_per_spec_compute(x):
         assert np.array_equal(_bits(batch[0]), _bits(vector))
         assert np.array_equal(_bits(batch[1]),
                               _bits(extractor.extract(x[::-1])))
+
+
+_huge_values = st.sampled_from([1e154, -1e200, 1e300, -1.7e308, 1.7e308])
+
+
+@st.composite
+def moment_signals(draw):
+    """Adversarial signals, some at overflow scale, some with a constant
+    run laid over them."""
+    x = draw(st.one_of(
+        adversarial_signals,
+        arrays(dtype=np.float64, shape=st.integers(min_value=0, max_value=600),
+               elements=st.one_of(
+                   st.floats(min_value=-1e6, max_value=1e6,
+                             allow_nan=False, allow_infinity=False),
+                   _edge_values, _huge_values))))
+    if x.size and draw(st.booleans()):
+        start = draw(st.integers(0, x.size - 1))
+        x[start:start + draw(st.integers(1, x.size))] = draw(
+            st.one_of(_edge_values, _tie_values))
+    return x
+
+
+@given(moment_signals(), st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_series_moments_and_quantile_match_numpy(x, q, seed):
+    """The wrapper-free moments and the sorted-memo quantile carry the
+    bits of ``np.mean``/``np.var``/``np.std``/``np.quantile`` on the
+    cleaned signal, in any order of it."""
+    quantiles = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, q)
+    for signal in (x, np.random.default_rng(seed).permutation(x)):
+        s = Series(signal)
+        if s.x.size == 0:
+            continue
+        with np.errstate(all="ignore"):
+            expected = ([np.mean(s.x), np.var(s.x), np.std(s.x)]
+                        + [np.quantile(s.x, p) for p in quantiles])
+            got = ([s.mean(), s.var(), s.std()]
+                   + [td.quantile(s, p) for p in quantiles])
+        assert np.array_equal(_bits(got), _bits(expected))
 
 
 @given(signals)

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.config import AirFingerConfig
 from repro.core.segmentation import DynamicThresholdSegmenter, otsu_threshold
+from tests.golden import segmentation_reference as reference
 
 delta_streams = arrays(
     dtype=np.float64,
@@ -81,3 +82,57 @@ def test_push_and_segment_agree(seed):
         online.append(tail)
     assert [(s.start, s.end) for s in offline] == \
         [(s.start, s.end) for s in online]
+
+
+# Refresh windows at the edges of the quantile's and Otsu's guards: NaN,
+# ±inf, negatives, signed zeros, denormals, ties from a small alphabet,
+# heavy-tailed energy, a constant run, any order.
+_edge_values = st.sampled_from(
+    [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+     2.2250738585072014e-308, 1.0, 3.0, -1.0, 1e300])
+_window_values = st.one_of(
+    st.floats(min_value=0.0, max_value=1e6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _edge_values)
+
+
+@st.composite
+def refresh_windows(draw):
+    n = draw(st.integers(min_value=0, max_value=1200))
+    if draw(st.booleans()):
+        x = draw(arrays(np.float64, n, elements=_window_values))
+    else:  # mostly a quiet floor with sparse excursions
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.exponential(draw(st.sampled_from([1e-6, 1.0, 1e4])), n)
+        x[rng.random(n) < draw(st.floats(0.0, 0.6))] *= 1e3
+        x[rng.random(n) < draw(st.floats(0.0, 0.3))] = draw(_edge_values)
+    if n and draw(st.booleans()):
+        start = draw(st.integers(0, n - 1))
+        x[start:start + draw(st.integers(1, n))] = draw(_window_values)
+    return x
+
+
+def _outcome(function, *args):
+    """``repr`` of *function*'s answer, or of what it raised (the suite
+    turns RuntimeWarnings into errors, so a warning counts too)."""
+    try:
+        return repr(function(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return f"{type(exc).__name__}: {exc}"
+
+
+@given(refresh_windows(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_refresh_matches_reference(window, seed):
+    """One sort feeds the quantile and Otsu: the refreshed threshold and
+    Otsu's split keep every bit of the parent code — and its warnings —
+    in any order of the window."""
+    config = AirFingerConfig()
+    refresh = DynamicThresholdSegmenter(config)._refresh_from
+    shuffled = np.random.default_rng(seed).permutation(window)
+    expected = _outcome(reference.reference_refresh, window, config)
+    assert _outcome(refresh, window) == expected
+    assert _outcome(refresh, shuffled) == expected
+    expected = _outcome(reference.otsu_threshold, window)
+    assert _outcome(otsu_threshold, window) == expected
+    assert _outcome(otsu_threshold, shuffled) == expected

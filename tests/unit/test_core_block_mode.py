@@ -16,11 +16,7 @@ from repro.core.calibration import ChannelGuard
 from repro.core.events import SegmentEvent
 from repro.core.pipeline import DEFAULT_BLOCK_SIZE, AirFinger
 from repro.core.sbc import StreamingMovingAverage, StreamingSbc
-from repro.core.segmentation import (
-    DynamicThresholdSegmenter,
-    _otsu_batch,
-    otsu_threshold,
-)
+from repro.core.segmentation import DynamicThresholdSegmenter
 from repro.obs import MetricsRegistry
 from repro.utils import fast_quantile
 from tests.golden.stream_reference import ReferenceChannelGuard
@@ -132,30 +128,6 @@ class TestSegmenterBlock:
         assert len(out.thresholds) == 300
         assert len(out.open_start) == 300
         assert all(o is None for o in out.open_start)
-
-
-class TestOtsuBatch:
-    def test_rows_match_scalar_otsu_bitwise(self):
-        rng = _rng(6)
-        rows = []
-        for scale in (1e-6, 1.0, 1e4):
-            base = rng.uniform(0.0, 10.0, size=800) * scale
-            base[rng.random(800) < 0.3] += scale * rng.uniform(50, 500)
-            rows.append(base)
-        rows.append(np.zeros(800))            # no positive mass
-        rows.append(np.full(800, 3.0))        # zero log-range
-        values = np.stack(rows)
-        out = _otsu_batch(values, 128, 10.0)
-        assert out is not None
-        for row, got in zip(values, out):
-            assert repr(float(got)) == repr(otsu_threshold(row, n_bins=128))
-
-    def test_permutation_invariance(self):
-        rng = _rng(7)
-        row = rng.uniform(0.1, 100.0, size=800)
-        values = np.stack([row, rng.permutation(row)])
-        out = _otsu_batch(values, 128, 10.0)
-        assert repr(float(out[0])) == repr(float(out[1]))
 
 
 class TestFastQuantile:

@@ -78,6 +78,24 @@ class TestStreamingSbc:
         with pytest.raises(ValueError):
             StreamingSbc(0)
 
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_replay_matches_block_pass_under_compensated_sum(
+            self, window, compensated_sum):
+        """Short blocks replay the window sums one push at a time, long
+        ones accumulate them; both fold left to right from 0.0, so
+        CPython 3.12's compensated ``sum()`` must not split them."""
+        rng = np.random.default_rng(9)
+        # magnitudes far apart, so compensation changes rounded sums
+        x = rng.choice([1e16, -1e16, 1.0, 3.0, 0.1, 0.7], size=400)
+        x *= rng.uniform(0.5, 2.0, size=400)
+        assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+        block = StreamingSbc(window).push_block(x)
+        assert x.size >= BLOCK_CROSSOVER
+        replay = StreamingSbc(window)
+        pushed = [replay.push(v) for v in x.tolist()]
+        assert np.array_equal(np.array(pushed).view(np.uint64),
+                              block.view(np.uint64))
+
 
 class TestPrefilter:
     def test_window_one_identity(self):
