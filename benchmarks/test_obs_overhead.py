@@ -12,18 +12,32 @@ first gate because both of its arms carry the tracing null checks.
 
 All runs also produce bit-identical corpora: instrumentation never
 touches an RNG stream.
+
+A third gate measures the streaming engine itself: the five golden
+streams through ``AirFinger.feed_block`` at 1, 10 and 256 frames per
+call, with a live registry and a disabled one.  Both give ``repr``-equal
+events; the cost of recording at each size is ledgered as a ratio and
+as CPU µs per frame, and at the serve path's 10-frame blocks the ratio
+must stay within ``ENGINE_OVERHEAD_LIMIT``.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+from repro.core.pipeline import AirFinger
 from repro.datasets import CampaignConfig, CampaignGenerator
 from repro.obs import MetricsRegistry, Tracer, set_tracer
 
 from conftest import print_header
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from tests.golden.stream_cases import build_stream_cases  # noqa: E402
 
 # Same scaled-down main campaign as test_campaign_throughput.py.
 OVERHEAD_CONFIG = CampaignConfig(
@@ -31,6 +45,13 @@ OVERHEAD_CONFIG = CampaignConfig(
 BATCH = 24
 ROUNDS = 5
 OVERHEAD_LIMIT = 1.05  # enabled may cost at most 5% over disabled
+
+#: feed_block sizes: one frame (what ``feed`` is), the loadgen's 10-frame
+#: messages, and feed_recording's default block
+ENGINE_BLOCK_SIZES = (1, 10, 256)
+ENGINE_ROUNDS = 7
+ENGINE_GATED_BLOCK = 10
+ENGINE_OVERHEAD_LIMIT = 1.10  # metrics may cost 10% at 10-frame blocks
 
 
 def test_obs_overhead(benchmark, bench_report):
@@ -168,3 +189,74 @@ def test_trace_overhead(benchmark, bench_report):
     assert ratio <= OVERHEAD_LIMIT, (
         f"tracing overhead {ratio:.3f}x exceeds the "
         f"{OVERHEAD_LIMIT}x gate")
+
+
+def _engine_pass(streams, block, metrics) -> tuple[float, list[str]]:
+    """CPU seconds of the golden *streams* in *block*-frame
+    ``feed_block`` calls (plus each stream's flush), recording into
+    *metrics*; and the ``repr`` of every event."""
+    engines = [AirFinger(metrics=metrics, tracer=Tracer(sample=0.0))
+               for _ in streams]
+    calls = [[frames[i:i + block] for i in range(0, len(frames), block)]
+             for frames in streams]
+    events = []
+    t0 = time.process_time()
+    for engine, chunks in zip(engines, calls):
+        for chunk in chunks:
+            events.extend(engine.feed_block(chunk))
+        events.extend(engine.flush())
+    cpu_s = time.process_time() - t0
+    return cpu_s, [repr(e) for e in events]
+
+
+def test_engine_obs_overhead(bench_report):
+    print_header(
+        "repro.obs engine metrics cost — feed_block at 1, 10 and 256 "
+        "frames per call",
+        "every 100 Hz frame must fit its 10 ms budget; at the serve "
+        "path's 10-frame blocks metrics may cost at most 10%")
+
+    streams = [frames for _, frames in build_stream_cases()]
+    n = sum(len(frames) for frames in streams)
+    rows = []
+    for block in ENGINE_BLOCK_SIZES:
+        off_s = on_s = float("inf")
+        for _ in range(ENGINE_ROUNDS):
+            # interleaved, so a busy stretch of the host hits both sides
+            t, off_events = _engine_pass(streams, block,
+                                         MetricsRegistry(enabled=False))
+            off_s = min(off_s, t)
+            t, on_events = _engine_pass(streams, block,
+                                        MetricsRegistry(enabled=True))
+            on_s = min(on_s, t)
+        # recording must not move an event bit
+        assert on_events == off_events
+
+        ratio = on_s / off_s
+        cost_us = (on_s - off_s) / n * 1e6
+        scale = {"n_frames": n, "block_frames": block}
+        bench_report.record("obs_overhead", f"engine_block_{block}",
+                            "overhead_ratio", ratio, unit="x",
+                            direction="lower_is_better", tolerance=0.10,
+                            scale=scale)
+        # a difference of two noisy minima, near zero at large blocks:
+        # informational, so only a doubling flags
+        bench_report.record("obs_overhead", f"engine_block_{block}",
+                            "overhead_us_per_frame", cost_us,
+                            unit="us/frame", direction="lower_is_better",
+                            tolerance=1.0, scale=scale)
+        rows.append((block, off_s, on_s, ratio, cost_us))
+
+    print(f"\n{n} golden-stream frames, least CPU of {ENGINE_ROUNDS} "
+          f"interleaved rounds per mode")
+    print(f"{'frames/call':>11} {'off us/fr':>10} {'on us/fr':>10} "
+          f"{'ratio':>7} {'cost us/fr':>11}")
+    for block, off_s, on_s, ratio, cost_us in rows:
+        print(f"{block:>11} {off_s / n * 1e6:>10.2f} {on_s / n * 1e6:>10.2f} "
+              f"{ratio:>6.3f}x {cost_us:>11.3f}")
+
+    gated = {block: ratio for block, _, _, ratio, _ in rows}
+    ratio = gated[ENGINE_GATED_BLOCK]
+    assert ratio <= ENGINE_OVERHEAD_LIMIT, (
+        f"engine metrics cost {ratio:.3f}x at {ENGINE_GATED_BLOCK}-frame "
+        f"blocks exceeds the {ENGINE_OVERHEAD_LIMIT}x gate")

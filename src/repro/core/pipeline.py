@@ -159,19 +159,17 @@ class AirFinger:
         # metric handles are resolved once; a call only pays record calls
         m = self.metrics if self.metrics is not None else get_registry()
         self._tr = self.tracer if self.tracer is not None else get_tracer()
+        # the stage clock: the last stage boundary, this call's per-stage
+        # split, and whether this call is traced (see _lap)
+        self._mark = 0.0
         self._stage_s: dict[str, float] = {}
+        self._traced = False
         self._deadline_s = 1.0 / self.config.sample_rate_hz
         self._h_frame = m.histogram("pipeline.frame_seconds")
-        self._h_prefilter = m.histogram("pipeline.stage_seconds",
-                                        stage="prefilter_sbc")
-        self._h_segmentation = m.histogram("pipeline.stage_seconds",
-                                           stage="segmentation")
-        self._h_dispatch = m.histogram("pipeline.stage_seconds",
-                                       stage="dispatch")
-        self._h_tracking = m.histogram("pipeline.stage_seconds",
-                                       stage="tracking")
-        self._h_detection = m.histogram("pipeline.stage_seconds",
-                                        stage="detection")
+        self._h_stage = {
+            stage: m.histogram("pipeline.stage_seconds", stage=stage)
+            for stage in ("prefilter_sbc", "segmentation", "dispatch",
+                          "tracking", "detection")}
         self._c_frames = m.counter("pipeline.frames")
         self._c_deadline = m.counter("pipeline.deadline_miss")
         self._c_segments = m.counter("pipeline.segments")
@@ -317,7 +315,8 @@ class AirFinger:
         if n == 0:
             return []
         self._stage_s.clear()
-        if self._tr.active:
+        self._traced = self._tr.active
+        if self._traced:
             with self._tr.span("pipeline.block", index=self._fed,
                                frames=n) as span:
                 return self._consume(runs, n, t_start, span)
@@ -448,7 +447,7 @@ class AirFinger:
         ``(m, channels)`` values and their ``m`` timestamps.  The first
         *n_interp* rows bridge a gap: they skip the channel guard and its
         hold substitution, and count as no frame."""
-        t_start = perf_counter()
+        self._mark = perf_counter()
         m, n_channels = vals.shape
         pos0 = self._pos
         events: list = []
@@ -519,24 +518,12 @@ class AirFinger:
             prev = boundary
         pieces.append(self._combined_sbc.push_block(combined[prev:]))
         delta = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        t_prefilter = perf_counter()
-        self._h_prefilter.observe_many((t_prefilter - t_start) / m, m)
+        self._lap("prefilter_sbc", m)
 
         # --- segmentation ------------------------------------------------
         seg = self._segmenter.push_block(delta)
         finished = dict(seg.finished)
-        t_segmentation = perf_counter()
-        self._h_segmentation.observe_many((t_segmentation - t_prefilter) / m, m)
-        stage_s = self._stage_s
-        stage_s["prefilter_sbc"] = (stage_s.get("prefilter_sbc", 0.0)
-                                    + t_prefilter - t_start)
-        stage_s["segmentation"] = (stage_s.get("segmentation", 0.0)
-                                   + t_segmentation - t_prefilter)
-        if span is not None:
-            self._tr.record("pipeline.stage", t_start, t_prefilter,
-                            stage="prefilter_sbc")
-            self._tr.record("pipeline.stage", t_prefilter, t_segmentation,
-                            stage="segmentation")
+        self._lap("segmentation", m)
 
         # --- per-frame bookkeeping + handlers ----------------------------
         # Quiet frames (no open segment, nothing finished, no guard event)
@@ -655,6 +642,7 @@ class AirFinger:
         tail = self._segmenter.flush()
         if tail is None:
             return []
+        self._traced = self._tr.active
         out = self._handle_segment(tail)
         self._live_track_open = False
         self._live_cooldown = 0
@@ -678,18 +666,33 @@ class AirFinger:
         self._hold = []
 
     # ------------------------------------------------------------------
+    # stage clock
+    # ------------------------------------------------------------------
+    def _lap(self, stage: str, frames: int = 0) -> None:
+        """Book the time since the last stage boundary to *stage*, and
+        make now the boundary.
+
+        One clock read feeds every sink: the stage's
+        ``pipeline.stage_seconds`` histogram (per frame over *frames*
+        frames, else one observation per call), this call's stage split
+        (deadline attribution and :class:`~repro.obs.StageProfile`) and,
+        when the call is traced, a ``pipeline.stage`` span.  A stage that
+        starts after untimed work sets ``_mark`` first.
+        """
+        start = self._mark
+        end = self._mark = perf_counter()
+        elapsed = end - start
+        if frames:
+            self._h_stage[stage].observe_many(elapsed / frames, frames)
+        else:
+            self._h_stage[stage].observe(elapsed)
+        self._stage_s[stage] = self._stage_s.get(stage, 0.0) + elapsed
+        if self._traced:
+            self._tr.record("pipeline.stage", start, end, stage=stage)
+
+    # ------------------------------------------------------------------
     # segment handling
     # ------------------------------------------------------------------
-    def _stage_scope(self, stage: str, histogram, start_s: float,
-                     end_s: float) -> None:
-        """Book one measured handler stage: its latency histogram,
-        deadline attribution and tracing."""
-        histogram.observe(end_s - start_s)
-        self._stage_s[stage] = (self._stage_s.get(stage, 0.0)
-                                + (end_s - start_s))
-        if self._tr.active:
-            self._tr.record("pipeline.stage", start_s, end_s, stage=stage)
-
     def _handle_segment(self, segment: Segment,
                         gate: float | None = None) -> list:
         event = self._segment_event(segment)
@@ -702,14 +705,12 @@ class AirFinger:
             gate = self._gate()
         # one memo for both decisions: track reuses classify's statistics
         sweep = SweepSlice(rss)
-        t_dispatch = perf_counter()
+        self._mark = perf_counter()
         kind = self._dispatcher.classify(sweep, gate)
-        t_track = perf_counter()
-        self._stage_scope("dispatch", self._h_dispatch, t_dispatch, t_track)
+        self._lap("dispatch")
         if kind == "track":
             result = self.tracker.track(sweep, gate)
-            self._stage_scope("tracking", self._h_tracking, t_track,
-                              perf_counter())
+            self._lap("tracking")
             out.append(ScrollUpdate(
                 direction=result.direction,
                 velocity_mm_s=result.velocity_mm_s,
@@ -722,11 +723,10 @@ class AirFinger:
         signal = self._slice_delta(segment.start, segment.end)
         if self.interference_filter is None and self.detector is None:
             return out
-        t_detect = perf_counter()
+        self._mark = perf_counter()
         if self.interference_filter is not None:
             if self.interference_filter.gesture_probability(signal) < 0.5:
-                self._stage_scope("detection", self._h_detection, t_detect,
-                                  perf_counter())
+                self._lap("detection")
                 out.append(GestureEvent(
                     label="non_gesture", confidence=1.0, segment=event,
                     accepted=False))
@@ -738,8 +738,7 @@ class AirFinger:
                 label=label, confidence=confidence, segment=event,
                 accepted=True))
             self._c_ev_gesture.inc()
-        self._stage_scope("detection", self._h_detection, t_detect,
-                          perf_counter())
+        self._lap("detection")
         return out
 
     def _maybe_live_update(self, open_start: int | None,
@@ -760,20 +759,17 @@ class AirFinger:
             return None
         gate = self._gate(threshold)
         sweep = SweepSlice(rss)
+        self._mark = perf_counter()
         # a live track stays open until its segment closes, so once it is
         # open nothing would read another decision
         if not self._live_track_open:
-            t_dispatch = perf_counter()
             kind = self._dispatcher.classify(sweep, gate)
-            self._stage_scope("dispatch", self._h_dispatch, t_dispatch,
-                              perf_counter())
+            self._lap("dispatch")
             if kind != "track":
                 return None
             self._live_track_open = True
-        t_track = perf_counter()
         result = self.tracker.track(sweep, gate)
-        self._stage_scope("tracking", self._h_tracking, t_track,
-                          perf_counter())
+        self._lap("tracking")
         event = SegmentEvent(
             start_index=open_start,
             end_index=self._pos,

@@ -28,6 +28,7 @@ distributed across workers (see
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -298,15 +299,13 @@ class CampaignGenerator:
         prof = get_stage_profile()
         out: list[GestureSample] = []
         for chunk in chunked(tasks, batch):
+            # synthesize / record_batch nest under the profile scope; its
+            # exclusive time is the batching glue itself
+            scope = (prof.scope("campaign.batch") if prof is not None
+                     else nullcontext())
             with tracer.span("campaign.chunk", n_tasks=len(chunk)), \
-                    self._obs.timer("campaign.batch_seconds"):
-                if prof is not None:
-                    # synthesize / record_batch nest under this scope;
-                    # its exclusive time is the batching glue itself
-                    with prof.scope("campaign.batch"):
-                        out.extend(self._capture_batch(chunk))
-                else:
-                    out.extend(self._capture_batch(chunk))
+                    self._obs.timer("campaign.batch_seconds"), scope:
+                out.extend(self._capture_batch(chunk))
             self._obs.counter("campaign.tasks").inc(len(chunk))
             self._obs.counter("campaign.batches").inc()
             self._obs.histogram(

@@ -202,28 +202,7 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation (NaN/inf counts as invalid, not data)."""
-        if not self._registry.enabled:
-            return
-        value = float(value)
-        if not math.isfinite(value):
-            with self._lock:
-                self.invalid += 1
-            return
-        # linear scan is faster than bisect for the small head buckets the
-        # hot paths hit; fall through to the overflow slot
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
-        with self._lock:
-            self.counts[idx] += 1
-            self.sum += value
-            self.count += 1
-            if self.min is None or value < self.min:
-                self.min = value
-            if self.max is None or value > self.max:
-                self.max = value
+        self._add(value, 1)
 
     def observe_many(self, value: float, n: int) -> None:
         """Record *n* observations of the same *value* in O(1).
@@ -233,13 +212,21 @@ class Histogram:
         keeps ``count`` (and rate math downstream) comparable with the
         per-frame path without paying *n* bucket scans.
         """
-        if not self._registry.enabled or n <= 0:
+        if n > 0:
+            self._add(value, n)
+
+    def _add(self, value: float, n: int) -> None:
+        """Record *n* observations of *value* (for one, ``value * 1`` is
+        exact)."""
+        if not self._registry.enabled:
             return
         value = float(value)
         if not math.isfinite(value):
             with self._lock:
                 self.invalid += n
             return
+        # linear scan is faster than bisect for the small head buckets the
+        # hot paths hit; fall through to the overflow slot
         idx = len(self.bounds)
         for i, bound in enumerate(self.bounds):
             if value <= bound:
@@ -324,11 +311,6 @@ class StageTimer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.elapsed_s = time.perf_counter() - self._start
         self._histogram.observe(self.elapsed_s)
-
-    @property
-    def started_s(self) -> float:
-        """The ``perf_counter`` reading at ``__enter__`` (span anchoring)."""
-        return self._start
 
 
 @dataclass

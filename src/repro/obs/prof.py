@@ -17,14 +17,16 @@ boundaries as plain dicts):
   mergeable plain dict.
 * :class:`StageProfile` — a deterministic accumulator of **exclusive
   (self) time** per pipeline stage.  It is fed by the stage measurements
-  the pipeline already takes (``AirFinger._stage_s``, the campaign
-  generator's batch timers, ``repro.serve`` dispatch scopes), so its
-  attribution is exact rather than statistical: a stage's ``self_s`` is
-  its measured duration minus the measured durations of its nested
-  stages, never an estimate.  Profiles pickle as plain dicts and merge
-  associatively — parallel campaign workers ship their profile back
-  beside their :class:`~repro.obs.metrics.MetricsSnapshot` delta and the
-  parent merges them exactly like metric snapshots.
+  the pipeline already takes (the engine's stage clock, which reads the
+  clock once per stage boundary and sums each call's split per stage in
+  ``AirFinger._lap``; the campaign generator's batch timers;
+  ``repro.serve`` dispatch scopes), so its attribution is exact rather
+  than statistical: a stage's ``self_s`` is its measured duration minus
+  the measured durations of its nested stages, never an estimate.
+  Profiles pickle as plain dicts and merge associatively — parallel
+  campaign workers ship their profile back beside their
+  :class:`~repro.obs.metrics.MetricsSnapshot` delta and the parent
+  merges them exactly like metric snapshots.
 
 Hot paths reach the active profile through :func:`get_stage_profile`,
 a single module-global read returning ``None`` when profiling is off —

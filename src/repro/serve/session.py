@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -364,22 +365,17 @@ class SessionManager:
         if not session.queue:
             return []
         prof = get_stage_profile()
-        if prof is not None:
-            # The engine's pipeline.block entries nest under this scope;
-            # its exclusive time is the queue-drain/bookkeeping glue.
-            with prof.scope("serve.dispatch"):
-                return self._traced_dispatch(session)
-        return self._traced_dispatch(session)
-
-    def _traced_dispatch(self, session: ServeSession) -> list:
-        if self._tracer.active:
-            with self._tracer.span("serve.dispatch",
-                                   tenant=session.tenant,
-                                   session=session.session_id) as span:
-                events = self._dispatch(session)
-                span.set_attr(n_events=len(events))
-                return events
-        return self._dispatch(session)
+        if prof is None and not self._tracer.active:
+            return self._dispatch(session)
+        # the engine's pipeline.block entries nest under both; the scope's
+        # exclusive time is the queue-drain/bookkeeping glue
+        scope = (prof.scope("serve.dispatch") if prof is not None
+                 else nullcontext())
+        with scope, self._tracer.span("serve.dispatch", tenant=session.tenant,
+                                      session=session.session_id) as span:
+            events = self._dispatch(session)
+            span.set_attr(n_events=len(events))
+            return events
 
     def _dispatch(self, session: ServeSession) -> list:
         t_start = self._clock()

@@ -11,10 +11,13 @@ traces, the block-mode property suite and the boundary tests compare
 against it.  The method bodies are the parent's, verbatim; only the
 imports, the two subclasses, the guard class ``_guard_frame`` builds,
 the explicit live-update arguments (the engine no longer reads the live
-segmenter for them), :meth:`ReferenceAirFinger.feed_block` and
-:func:`books` are new, and ``_ingest`` sums the channels with an explicit
-left fold from 0.0 where it called ``sum()``: CPython 3.12 compensates
-``sum()``, and the fold is what 3.11 computed and what the engine does.
+segmenter for them), :meth:`ReferenceAirFinger.feed_block`,
+:meth:`ReferenceAirFinger.__post_init__` (the stage histograms ``_ingest``
+books into, taken from the engine's stage table, and the tracing decision
+the engine's stage clock reads) and :func:`books` are new, and
+``_ingest`` sums the channels with an explicit left fold from 0.0 where
+it called ``sum()``: CPython 3.12 compensates ``sum()``, and the fold is
+what 3.11 computed and what the engine does.
 The segment handlers (``_handle_segment``, ``_maybe_live_update``) are
 the engine's own; the dispatch goldens pin them.
 """
@@ -85,6 +88,15 @@ class ReferenceChannelGuard(ChannelGuard):
 
 class ReferenceAirFinger(AirFinger):
     """:class:`AirFinger` ingesting through the per-frame path."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # the two stage histograms the per-frame path books into, from
+        # the engine's stage table; the engine decides per call whether
+        # its stage clock traces, this per-frame path once
+        self._h_prefilter = self._h_stage["prefilter_sbc"]
+        self._h_segmentation = self._h_stage["segmentation"]
+        self._traced = self._tr.active
 
     def feed(self, frame: RssFrame) -> list:
         """Ingest one frame; returns the events it triggered.

@@ -7,7 +7,7 @@ import pytest
 from repro.acquisition.stream import RssFrame
 from repro.core.events import StreamGap
 from repro.core.pipeline import AirFinger
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, stage_profiling
 from repro.serve import ServeConfig, SessionManager
 
 
@@ -205,6 +205,39 @@ class TestDispatch:
         assert len(spans) == 1
         assert spans[0].attrs["session"] == "dev0"
         assert "n_events" in spans[0].attrs
+
+    def test_stage_clock_nests_under_dispatch(self):
+        """One drain: the profile scope and the span wrap the engine's
+        ``pipeline.block``, under which its stage clock books one
+        ``pipeline.stage`` span and one profile leaf per timed stage."""
+        tracer = Tracer(sample=1.0)
+        manager = SessionManager(metrics=MetricsRegistry(), tracer=tracer)
+        session = manager.open("t0", "dev0")
+        manager.enqueue(session, _frames(0, 20))
+        with stage_profiling() as profile:
+            manager.dispatch(session)
+        spans = {s.span_id: s for s in tracer.finished_spans()}
+        stages = [s for s in spans.values() if s.name == "pipeline.stage"]
+        assert [s.attrs["stage"] for s in stages] == ["prefilter_sbc",
+                                                      "segmentation"]
+        for stage in stages:
+            block = spans[stage.parent_id]
+            assert block.name == "pipeline.block"
+            assert spans[block.parent_id].name == "serve.dispatch"
+        block = ("serve.dispatch", "pipeline.block")
+        assert set(profile.stats()) == {
+            block[:1], block, (*block, "prefilter_sbc"),
+            (*block, "segmentation")}
+
+    def test_untraced_unprofiled_drain_opens_no_span(self, monkeypatch):
+        """No profile installed and the tracer off: the drain runs
+        without entering a span."""
+        manager, _, _ = _manager()
+        monkeypatch.setattr(manager._tracer, "span", None)
+        session = manager.open("t0", "dev0")
+        manager.enqueue(session, _frames(0, 20))
+        assert manager.dispatch(session) == []
+        assert session.pending == 0
 
 
 class TestClockInjection:
