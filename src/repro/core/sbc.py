@@ -15,8 +15,6 @@ The whole transform is O(n) via prefix sums.
 
 from __future__ import annotations
 
-import functools
-import operator
 from collections import deque
 
 import numpy as np
@@ -219,13 +217,6 @@ def sbc_transform(signal: np.ndarray, window: int = 1) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def _fold(values: list) -> float:
-    """The sum of *values* added left to right from 0.0 — the order the
-    block pass accumulates in, and what ``sum()`` computed before
-    CPython 3.12 made it compensated."""
-    return functools.reduce(operator.add, values, 0.0)
-
-
 class StreamingSbc:
     """On-line SBC over one channel: push a sample, get ΔRSS² back.
 
@@ -255,8 +246,13 @@ class StreamingSbc:
             if len(buf) < full:
                 out.append(0.0)
                 continue
-            items = list(buf)
-            delta = (_fold(items[w:]) - _fold(items[:w])) / w
+            # each window summed left to right from 0.0, as the block
+            # pass accumulates (not CPython 3.12's compensated sum())
+            prev = cur = 0.0
+            for k in range(w):
+                prev += buf[k]
+                cur += buf[w + k]
+            delta = (cur - prev) / w
             out.append(delta * delta)
         self._count += len(values)
         return out

@@ -397,6 +397,8 @@ class SamplingProfiler:
         self.n_ticks = 0
         self.n_samples = 0
         self.n_overflow = 0
+        #: the sampler thread's own CPU so far (its ``time.thread_time``)
+        self.thread_cpu_s = 0.0
         self._paused = False
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -443,9 +445,11 @@ class SamplingProfiler:
 
     def _loop(self) -> None:
         interval = 1.0 / self.hz
+        start = time.thread_time()
         while not self._stop.wait(interval):
             if not self._paused:
                 self.sample_once()
+            self.thread_cpu_s = time.thread_time() - start
 
     # -- sampling -----------------------------------------------------
 

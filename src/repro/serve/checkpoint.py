@@ -11,12 +11,12 @@ a half-warmed threshold and a masked channel all survive the hop.
 
 Exactness is the contract, not approximation: every float crosses the
 wire through JSON's shortest-round-trip repr (bit-exact for float64),
-deques are restored in order under the destination engine's own
-``maxlen``, and the segmenter's threshold ring is copied in its rotated
-layout.  The golden migrate-mid-stream test pins the result — a session
-checkpointed between two arbitrary frames and restored on a second
-manager must produce the byte-identical event ``repr`` sequence of an
-unmigrated run.
+windows and the raw/delta history (into the destination engine's own
+rings) are restored in order, and the segmenter's threshold ring is
+copied in its rotated layout.  The golden migrate-mid-stream test pins
+the result — a session checkpointed between two arbitrary frames and
+restored on a second manager must produce the byte-identical event
+``repr`` sequence of an unmigrated run.
 
 What is *not* serialized: models and configuration.  The destination
 manager's ``engine_factory`` must build engines equivalent to the
@@ -29,14 +29,13 @@ diverging).
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 
 import numpy as np
 
-from repro.acquisition.stream import RssFrame
 from repro.core.calibration import ChannelGuard
 from repro.core.pipeline import AirFinger
 from repro.core.segmentation import Segment
+from repro.serve import protocol
 from repro.serve.session import ServeSession, SessionManager
 
 __all__ = [
@@ -77,6 +76,7 @@ def config_digest(engine: AirFinger) -> str:
 def engine_state(engine: AirFinger) -> dict:
     """The engine's complete streaming state as JSON-safe plain data."""
     seg = engine._segmenter
+    raw, delta = engine._history()
     state: dict = {
         "segmenter": {
             # the ring is copied in its rotated layout: every valid slot
@@ -102,8 +102,8 @@ def engine_state(engine: AirFinger) -> dict:
         "prefilters": ([] if engine._prefilter is None else [
             {"buffer": [float(v) for v in buffered], "sum": float(s)}
             for buffered, s in engine._prefilter.channel_state()]),
-        "raw": [[float(v) for v in row] for row in engine._raw],
-        "delta": [float(v) for v in engine._delta],
+        "raw": raw.tolist(),
+        "delta": delta.tolist(),
         "fed": engine._fed,
         "last_time_s": float(engine._last_time_s),
         "live_cooldown": engine._live_cooldown,
@@ -137,8 +137,8 @@ def load_engine_state(engine: AirFinger, state: dict) -> AirFinger:
 
     *engine* must come from an equivalently-configured factory (the
     caller checks :func:`config_digest`); its streaming state is
-    overwritten wholesale.  A history no guarded engine can hold is
-    refused with ``ValueError`` before anything is loaded.
+    overwritten wholesale.  A history no engine can hold is refused with
+    ``ValueError`` before anything is loaded.
     """
     _check_history(engine, state)
     seg = engine._segmenter
@@ -164,18 +164,20 @@ def load_engine_state(engine: AirFinger, state: dict) -> AirFinger:
     sbc._buffer.extend(float(v) for v in state["sbc"]["buffer"])
     sbc._count = int(state["sbc"]["count"])
 
-    entries = state["prefilters"]
-    if entries:
-        engine._frame_prefilter(len(entries)).load_channel_state(
-            [(entry["buffer"], entry["sum"]) for entry in entries])
-    else:
-        engine._prefilter = None
-
-    engine._raw.clear()
-    engine._raw.extend(tuple(float(v) for v in row)
-                       for row in state["raw"])
-    engine._delta.clear()
-    engine._delta.extend(float(v) for v in state["delta"])
+    # the last values carry the stream's channel count; history rows
+    # load into the rings at the positions they held
+    raw = state["raw"]
+    engine._hist_start = int(state["pos"]) - len(raw)
+    engine._prefilter = engine._raw = engine._delta = None
+    if state["last_values"] is not None:
+        engine._open(len(state["last_values"]))
+        engine._prefilter.load_channel_state(
+            [(entry["buffer"], entry["sum"])
+             for entry in state["prefilters"]])
+        if raw:
+            engine._keep(engine._hist_start,
+                         np.array([list(map(float, row)) for row in raw]),
+                         np.array(list(map(float, state["delta"]))))
     engine._fed = int(state["fed"])
     engine._last_time_s = float(state["last_time_s"])
     engine._live_cooldown = int(state["live_cooldown"])
@@ -211,31 +213,34 @@ def load_engine_state(engine: AirFinger, state: dict) -> AirFinger:
 
 
 def _check_history(engine: AirFinger, state: dict) -> None:
-    """Refuse raw/delta history a guarded engine could not have kept.
+    """Refuse raw/delta history no engine could have kept.
 
-    With the channel guard on, every frame the engine ingests has the
-    guard's channel count, and ``raw`` and ``delta`` grow together under
-    the engine's history length.  A payload breaking that would load,
-    then fail at the next dispatch.
+    A stream's first frame sets its channel count (``last_values``
+    carries it; none before the first frame): the prefilter, the guard
+    and every raw row have that count, and ``raw`` and ``delta`` grow
+    together under the engine's history length.  A payload breaking that
+    would load, then fail at the next dispatch.
     """
-    guard = state["guard"]
-    if guard is None:
-        return
-    width = int(guard["n_channels"])
+    last = state["last_values"]
+    width = 0 if last is None else len(last)
     raw, delta = state["raw"], state["delta"]
     if len(raw) != len(delta):
         raise ValueError(f"checkpoint history has {len(raw)} raw rows but "
                          f"{len(delta)} delta values")
-    if len(raw) > engine._raw.maxlen:
+    if len(raw) > engine._history_len:
         raise ValueError(f"checkpoint history has {len(raw)} rows, this "
-                         f"engine keeps {engine._raw.maxlen}")
+                         f"engine keeps {engine._history_len}")
     if len(state["prefilters"]) != width:
         raise ValueError(f"checkpoint has {len(state['prefilters'])} "
-                         f"prefilters for {width} guarded channels")
+                         f"prefilters for {width} channels")
+    guard = state["guard"]
+    if guard is not None and int(guard["n_channels"]) != width:
+        raise ValueError(f"checkpoint guard has {guard['n_channels']} "
+                         f"channels for {width}")
     for k, row in enumerate(raw):
         if len(row) != width:
             raise ValueError(f"checkpoint raw row {k} has {len(row)} "
-                             f"values for {width} guarded channels")
+                             f"values for {width} channels")
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +262,8 @@ def checkpoint_session(manager: SessionManager,
         "session": session.session_id,
         "config_digest": config_digest(session.engine),
         "engine": engine_state(session.engine),
-        "queue": [[f.index, f.time_s, list(f.values)]
-                  for f, _enq in session.queue],
+        "queue": [row for block, _enq in session.queue
+                  for row in protocol.frames_message(block)["frames"]],
         "frames_in": session.frames_in,
         "events_out": session.events_out,
         "dropped": session.dropped,
@@ -291,17 +296,15 @@ def restore_session(manager: SessionManager, payload: dict) -> ServeSession:
             f"engine config mismatch: checkpoint was taken under "
             f"{payload['config_digest']}, this manager builds {digest}")
     load_engine_state(engine, payload["engine"])
+    queued = protocol.decode_frames({"frames": payload.get("queue", [])})
     session = manager.adopt(
         payload["tenant"], payload["session"], engine,
         frames_in=int(payload.get("frames_in", 0)),
         events_out=int(payload.get("events_out", 0)),
         dropped=int(payload.get("dropped", 0)))
-    now = session.last_active_s
-    queue: deque = session.queue
-    for index, time_s, values in payload.get("queue", []):
-        queue.append((RssFrame(index=int(index), time_s=float(time_s),
-                               values=tuple(float(v) for v in values)),
-                      now))
+    if len(queued):
+        session.queue.append((queued, session.last_active_s))
+        session.pending = len(queued)
     if session.queue_gauge is not None:
-        session.queue_gauge.set(len(queue))
+        session.queue_gauge.set(session.pending)
     return session

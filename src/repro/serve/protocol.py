@@ -58,8 +58,9 @@ from __future__ import annotations
 
 import json
 import struct
-from math import isfinite
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.acquisition.stream import FrameBlock, RssFrame
 from repro.core.events import (
@@ -272,25 +273,36 @@ def frames_message(frames: Iterable[RssFrame] | FrameBlock) -> dict:
     return {"type": "frames", "frames": payload}
 
 
-def decode_frames(message: dict) -> list[RssFrame]:
-    """Rebuild the :class:`RssFrame` batch of a ``frames`` message.
+def decode_frames(message: dict) -> FrameBlock:
+    """The batch of a ``frames`` message as one :class:`FrameBlock`.
 
-    A malformed payload and a non-finite ``time_s`` raise
-    :class:`ProtocolError` — an overflowing literal such as ``1e999``
-    decodes to ``inf``, and an event stamped with it could never be
-    encoded back.  Non-finite sample values are the engine's to judge.
+    Indices go through ``int()`` (and must fit int64), times and samples
+    through ``float()``.  A malformed payload, frames that disagree on
+    their channel count and a non-finite ``time_s`` (``1e999`` decodes to
+    ``inf``, which no event could carry back) raise :class:`ProtocolError`;
+    non-finite sample values are the engine's to judge.
     """
+    indices, times, flat, widths = [], [], [], set()
     try:
-        frames = [RssFrame(index=int(index), time_s=float(time_s),
-                           values=tuple(float(v) for v in values))
-                  for index, time_s, values in message["frames"]]
+        for index, time_s, values in message["frames"]:
+            indices.append(int(index))
+            times.append(float(time_s))
+            flat.extend(map(float, values))
+            widths.add(len(values))
+        index_array = np.array(indices, dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed frames payload: {exc}")
-    for frame in frames:
-        if not isfinite(frame.time_s):
-            raise ProtocolError(
-                f"frame {frame.index} has non-finite time_s {frame.time_s}")
-    return frames
+    if len(widths) > 1:
+        raise ProtocolError("frames disagree on channel count")
+    time_array = np.array(times, dtype=np.float64)
+    finite = np.isfinite(time_array)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ProtocolError(
+            f"frame {indices[k]} has non-finite time_s {times[k]}")
+    values = np.array(flat, dtype=np.float64)
+    return FrameBlock(indices=index_array, times_s=time_array,
+                      values=values.reshape(len(times), *widths or (0,)))
 
 
 # ---------------------------------------------------------------------------

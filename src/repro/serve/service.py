@@ -49,6 +49,7 @@ import contextlib
 import math
 import time
 
+from repro.acquisition.stream import FrameBlock
 from repro.obs.telemetry import TelemetryPlane, TimelineWriter
 from repro.serve import checkpoint as ckpt
 from repro.serve import protocol
@@ -74,21 +75,14 @@ def _finite(value, what: str) -> float:
     return number
 
 
-def _check_channel_count(session: ServeSession, frames: list) -> None:
-    """Refuse *frames* that disagree on their channel count, or whose
-    count differs from the frames *session* already accepted (a restored
-    session's engine knows its count): an engine cannot change its width
-    mid-stream."""
-    if not frames:
-        return
-    width = len(frames[0].values)
-    if any(len(frame.values) != width for frame in frames):
-        raise protocol.ProtocolError("frames disagree on channel count")
-    if session.queue:
-        accepted = len(session.queue[-1][0].values)
-    else:
-        accepted = session.engine.n_channels
-    if accepted is not None and width != accepted:
+def _check_channel_count(session: ServeSession, frames: FrameBlock) -> None:
+    """Refuse *frames* whose channel count differs from the frames
+    *session* already accepted (a restored session's engine knows its
+    count): an engine cannot change its width mid-stream."""
+    width = frames.values.shape[1]
+    accepted = (session.queue[-1][0].values.shape[1] if session.queue
+                else session.engine.n_channels)
+    if len(frames) and accepted is not None and width != accepted:
         raise protocol.ProtocolError(
             f"frames have {width} channels; this session's have {accepted}")
 

@@ -2,11 +2,12 @@
 
 The :class:`SessionManager` is the transport-agnostic heart of the
 serving layer: it owns one :class:`~repro.core.pipeline.AirFinger`
-instance per device stream, a bounded ingest queue in front of each, and
-the batching policy that drains those queues through
-:meth:`~repro.core.pipeline.AirFinger.feed_block`.  The asyncio front-end
-(:mod:`repro.serve.server`) and the tests drive it directly; nothing in
-here does I/O.
+instance per device stream, a bounded ingest queue in front of each (of
+:class:`~repro.acquisition.stream.FrameBlock` chunks, counted in
+frames), and the batching policy that drains those queues through
+:meth:`~repro.core.pipeline.AirFinger.feed_block`, one block per drain.
+The asyncio front-end (:mod:`repro.serve.server`) and the tests drive it
+directly; nothing in here does I/O.
 
 Backpressure is explicit, never silent: a session whose queue is full
 drops its **oldest** queued frames (freshest-data-wins — a live gesture
@@ -44,9 +45,9 @@ import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
-from repro.acquisition.stream import RssFrame
+from repro.acquisition.stream import FrameBlock, RssFrame
 from repro.core.pipeline import AirFinger
 from repro.obs import (MetricsRegistry, Tracer, get_registry,
                        get_stage_profile, get_tracer)
@@ -105,9 +106,9 @@ class ServeSession:
     front-end must dispatch a session from one worker at a time).
     """
 
-    __slots__ = ("tenant", "session_id", "engine", "queue", "dropped",
-                 "frames_in", "events_out", "opened_s", "last_active_s",
-                 "closed", "queue_gauge", "frame_counters",
+    __slots__ = ("tenant", "session_id", "engine", "queue", "pending",
+                 "dropped", "frames_in", "events_out", "opened_s",
+                 "last_active_s", "closed", "queue_gauge", "frame_counters",
                  "events_counter")
 
     def __init__(self, tenant: str, session_id: str, engine: AirFinger,
@@ -115,8 +116,10 @@ class ServeSession:
         self.tenant = tenant
         self.session_id = session_id
         self.engine = engine
-        #: (frame, enqueue_perf_s) pairs awaiting dispatch
-        self.queue: deque[tuple[RssFrame, float]] = deque()
+        #: (frames, enqueue stamp) chunks awaiting dispatch, oldest first
+        self.queue: deque[tuple[FrameBlock, float]] = deque()
+        #: frames queued but not yet dispatched
+        self.pending = 0
         self.dropped = 0
         self.frames_in = 0
         self.events_out = 0
@@ -134,11 +137,6 @@ class ServeSession:
     def key(self) -> tuple[str, str]:
         """The (tenant, session_id) identity this session is stored under."""
         return (self.tenant, self.session_id)
-
-    @property
-    def pending(self) -> int:
-        """Frames queued but not yet dispatched."""
-        return len(self.queue)
 
 
 class SessionManager:
@@ -325,30 +323,37 @@ class SessionManager:
     # data path
     # ------------------------------------------------------------------
     def enqueue(self, session: ServeSession,
-                frames: list[RssFrame]) -> int:
-        """Queue *frames* for dispatch; returns how many were dropped.
+                frames: FrameBlock | Iterable[RssFrame]) -> int:
+        """Queue *frames* as one chunk; returns how many frames were dropped.
 
         Overflow drops the **oldest** queued frames: the engine then sees
         an index gap and emits a :class:`StreamGap`, so lost data is
         always visible in the event stream, never silently swallowed.
         """
+        if not isinstance(frames, FrameBlock):
+            frames = FrameBlock.from_frames(frames)
         now = self._clock()
         queue = session.queue
-        for frame in frames:
-            queue.append((frame, now))
-        session.frames_in += len(frames)
+        n = len(frames.indices)
+        if n:
+            queue.append((frames, now))
+        session.frames_in += n
         session.last_active_s = now
-        dropped = len(queue) - self.config.max_queue_frames
-        if dropped > 0:
-            for _ in range(dropped):
-                queue.popleft()
+        dropped = max(0, session.pending + n - self.config.max_queue_frames)
+        session.pending += n - dropped
+        if dropped:
+            # whole chunks go first, oldest first; then the head is cut
+            excess = dropped
+            while len(queue[0][0]) <= excess:
+                excess -= len(queue.popleft()[0])
+            if excess:
+                block, t_enq = queue[0]
+                queue[0] = (block[excess:], t_enq)
             session.dropped += dropped
             self._metrics.counter("serve.backpressure_drops",
                                   tenant=session.tenant).inc(dropped)
-        else:
-            dropped = 0
         if session.queue_gauge is not None:
-            session.queue_gauge.set(len(queue))
+            session.queue_gauge.set(session.pending)
         counters = session.frame_counters
         if counters is None:
             counters = session.frame_counters = (
@@ -357,7 +362,7 @@ class SessionManager:
                                       tenant=session.tenant,
                                       session=session.session_id))
         for counter in counters:
-            counter.inc(len(frames))
+            counter.inc(n)
         return dropped
 
     def dispatch(self, session: ServeSession) -> list:
@@ -379,22 +384,22 @@ class SessionManager:
 
     def _dispatch(self, session: ServeSession) -> list:
         t_start = self._clock()
-        batch: list[RssFrame] = []
-        # [enqueue stamp, frame count] per run of equal stamps: one
-        # enqueue call stamps all its frames alike, so a batch holds a
-        # few runs, and each run waited the same time
-        runs: list[list] = []
+        chunks: list[tuple[FrameBlock, float, int]] = []
         queue = session.queue
-        limit = self.config.max_batch_frames
-        while queue and len(batch) < limit:
-            frame, t_enq = queue.popleft()
-            batch.append(frame)
-            if runs and runs[-1][0] == t_enq:
-                runs[-1][1] += 1
-            else:
-                runs.append([t_enq, 1])
+        limit = room = self.config.max_batch_frames
+        while queue and room:
+            block, t_enq = queue.popleft()
+            k = len(block.indices)
+            if k > room:
+                queue.appendleft((block[room:], t_enq))
+                block, k = block[:room], room
+            chunks.append((block, t_enq, k))
+            room -= k
+        batch = (chunks[0][0] if len(chunks) == 1
+                 else FrameBlock.concat([chunk[0] for chunk in chunks]))
+        session.pending -= limit - room
         if session.queue_gauge is not None:
-            session.queue_gauge.set(len(queue))
+            session.queue_gauge.set(session.pending)
         events = session.engine.feed_block(batch)
         session.events_out += len(events)
         t_done = self._clock()
@@ -403,14 +408,15 @@ class SessionManager:
                 "serve.events", tenant=session.tenant)
         session.events_counter.inc(len(events))
         self._h_dispatch.observe(t_done - t_start)
-        self._h_batch.observe(len(batch))
+        self._h_batch.observe(limit - room)
         slo = self.config.latency_slo_s
         misses = 0
-        for t_enq, count in runs:
+        for _, t_enq, k in chunks:
+            # a chunk's frames share its stamp: they waited alike
             wait_s = t_done - t_enq
-            self._h_latency.observe_many(wait_s, count)
+            self._h_latency.observe_many(wait_s, k)
             if wait_s > slo:
-                misses += count
+                misses += k
         if misses:
             self._c_slo_miss.inc(misses)
         return events

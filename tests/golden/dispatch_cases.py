@@ -121,7 +121,7 @@ class _Recorder:
 
     def _slice_raw(self, original, start, end):
         engine = self.engine
-        offset = engine._pos - len(engine._raw)
+        offset = engine._history_offset()
         out = original(start, end)
         lo = max(start - offset, 0) + offset
         self._range = (lo, lo + len(out))

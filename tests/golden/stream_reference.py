@@ -13,19 +13,25 @@ imports, the two subclasses, the guard class ``_guard_frame`` builds,
 the explicit live-update arguments (the engine no longer reads the live
 segmenter for them), :meth:`ReferenceAirFinger.feed_block`,
 :meth:`ReferenceAirFinger.__post_init__` (the stage histograms ``_ingest``
-books into, taken from the engine's stage table, and the tracing decision
-the engine's stage clock reads) and :func:`books` are new, and
+books into, taken from the engine's stage table, the tracing decision
+the engine's stage clock reads, and the history deques),
+:meth:`ReferenceAirFinger.reset` and :func:`books` are new, and
 ``_ingest`` sums the channels with an explicit left fold from 0.0 where
 it called ``sum()``: CPython 3.12 compensates ``sum()``, and the fold is
 what 3.11 computed and what the engine does.
 The segment handlers (``_handle_segment``, ``_maybe_live_update``) are
-the engine's own; the dispatch goldens pin them.
+the engine's own; the dispatch goldens pin them.  The history they slice
+is the parent's: ``_raw`` and ``_delta`` deques with the parent's
+``_frame_prefilter``, ``_history_offset``, ``_slice_raw`` and
+``_slice_delta``, where the engine keeps numpy rings; the engine's
+``_history`` reads either.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+from collections import deque
 from time import perf_counter
 
 import numpy as np
@@ -34,6 +40,7 @@ from repro.acquisition.stream import FrameBlock, RssFrame
 from repro.core.calibration import ChannelGuard
 from repro.core.events import ChannelMaskEvent, StreamGap
 from repro.core.pipeline import AirFinger
+from repro.core.sbc import StreamingMovingAverage
 from repro.obs import get_stage_profile
 
 
@@ -97,6 +104,44 @@ class ReferenceAirFinger(AirFinger):
         self._h_prefilter = self._h_stage["prefilter_sbc"]
         self._h_segmentation = self._h_stage["segmentation"]
         self._traced = self._tr.active
+        self._new_history()
+
+    def reset(self) -> None:
+        super().reset()
+        self._new_history()
+
+    def _new_history(self) -> None:
+        self._raw = deque(maxlen=self._history_len)
+        self._delta = deque(maxlen=self._history_len)
+
+    def _frame_prefilter(self, n_channels: int) -> StreamingMovingAverage:
+        """The prefilter for *n_channels*-wide frames, rebuilt (empty) on
+        the first frame and whenever the channel count changes."""
+        if (self._prefilter is None
+                or self._prefilter.channels != n_channels):
+            self._prefilter = StreamingMovingAverage(
+                self.config.prefilter_samples, channels=n_channels)
+        return self._prefilter
+
+    def _history_offset(self) -> int:
+        return self._pos - len(self._raw)
+
+    def _slice_raw(self, start: int, end: int) -> np.ndarray:
+        offset = self._history_offset()
+        lo = max(start - offset, 0)
+        hi = min(end - offset, len(self._raw))
+        if hi <= lo:
+            return np.zeros((0, 0))
+        rows = list(self._raw)[lo:hi]
+        return np.asarray(rows, dtype=np.float64)
+
+    def _slice_delta(self, start: int, end: int) -> np.ndarray:
+        offset = self._history_offset()
+        lo = max(start - offset, 0)
+        hi = min(end - offset, len(self._delta))
+        if hi <= lo:
+            return np.zeros(0)
+        return np.asarray(list(self._delta)[lo:hi], dtype=np.float64)
 
     def feed(self, frame: RssFrame) -> list:
         """Ingest one frame; returns the events it triggered.

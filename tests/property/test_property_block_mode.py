@@ -4,13 +4,13 @@ Hypothesis drives randomized streams through every degradation path the
 pipeline owns — short gaps (interpolated), long gaps (segmenter flush +
 :class:`StreamGap`), out-of-order frames (dropped), bursts that open and
 close segments, channels that stick or pin at the top rail (masked and
-held), channel-count changes with the guard off, an active tracer — and
-asserts that :meth:`AirFinger.feed_block` over arbitrary block splits
+held), an active tracer — and asserts that :meth:`AirFinger.feed_block` over arbitrary block splits
 produces the exact event sequence, the exact final state and the same
 counter values and histogram sample counts as the parent's frame-by-frame
 engine (:class:`~tests.golden.stream_reference.ReferenceAirFinger`).
 Only the deadline counter differs: the engine counts late calls, the
-reference late frames.
+reference late frames.  A channel-count change, which the parent's
+guard-off engine took as a restart, is refused with its call.
 
 Events are compared as ``repr`` lines (flat dataclasses of
 ints/floats/strings; ``repr(float)`` is shortest-round-trip, so equal
@@ -22,6 +22,7 @@ engines keep consuming a shared tail afterwards and must keep agreeing.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -95,12 +96,12 @@ def _scalar_trace(engine, frames):
 def _state_fingerprint(engine):
     seg = engine._segmenter
     guard = engine._guard
+    rows, deltas = engine._history()
     return repr((
         engine._pos, engine._fed, engine._anchor, engine._last_time_s,
-        engine._last_values, tuple(engine._delta),
+        engine._last_values, deltas.tolist(),
         tuple(engine._combined_sbc._buffer),
-        # the block path keeps quiet rows as lists: compare values
-        [tuple(row) for row in engine._raw], engine._hold,
+        rows.tolist(), engine._hold,
         seg._index, seg._threshold, seg._env_sum, seg._open_start,
         seg._pending, seg._gap, seg._since_refresh, seg._hist_len,
         None if guard is None else (
@@ -165,23 +166,6 @@ def test_feed_frames_block_size_equivalence(move_list, seed, block_size):
     _assert_same(block, ref)
 
 
-def _outcomes(engine, chunks, per_frame: bool) -> list:
-    """Per chunk, its event ``repr`` lines — or, once a chunk raises,
-    the exception's type and message (and nothing after it)."""
-    out = []
-    for chunk in chunks:
-        try:
-            if per_frame:
-                events = [e for f in chunk for e in engine.feed(f)]
-            else:
-                events = engine.feed_block(chunk)
-        except ValueError as exc:
-            out.append((type(exc).__name__, str(exc)))
-            break
-        out.append([repr(e) for e in events])
-    return out
-
-
 @given(moves, seeds, block_plans,
        st.lists(st.tuples(st.integers(min_value=1, max_value=120),
                           st.integers(min_value=1, max_value=4)),
@@ -190,18 +174,23 @@ def _outcomes(engine, chunks, per_frame: bool) -> list:
 def test_channel_count_changes_with_guard_off(move_list, seed, plan,
                                               stretches):
     """Guard off, the channel count changes mid-stream, so a block may be
-    a ragged list.  A segment whose history straddles a change cannot be
-    sliced by either engine; both then raise the same ``ValueError`` in
-    the same chunk."""
+    a ragged list.  The first frame sets the stream's count: up to the
+    first chunk holding another, the engine matches the reference; that
+    chunk raises ``ValueError`` and changes nothing."""
     widths = [w for length, w in stretches for _ in range(length)]
     widths = (widths * (len(move_list) // len(widths) + 1))[:len(move_list)]
     frames = _build_frames(move_list, seed, 1, widths=widths)
     block, ref = _pair(channel_guard=False)
-    chunks = _split(frames, plan)
-    expected = _outcomes(ref, chunks, per_frame=True)
-    assert _outcomes(block, chunks, per_frame=False) == expected
-    if not isinstance(expected[-1], tuple):
-        _assert_same(block, ref)
+    for chunk in _split(frames, plan):
+        if any(len(f.values) != widths[0] for f in chunk):
+            before = _state_fingerprint(block), books(block.metrics)
+            with pytest.raises(ValueError, match="channel"):
+                block.feed_block(chunk)
+            assert (_state_fingerprint(block), books(block.metrics)) == before
+            break
+        assert ([repr(e) for e in block.feed_block(chunk)]
+                == _scalar_trace(ref, chunk))
+    _assert_same(block, ref)
 
 
 # stuck long enough to mask, then healthy long enough to recover

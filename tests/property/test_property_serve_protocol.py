@@ -114,11 +114,15 @@ def test_datagram_decoder_refuses_only_with_protocol_error(data):
 @settings(max_examples=200, deadline=None)
 def test_decode_frames_refuses_only_with_protocol_error(message):
     try:
-        frames = protocol.decode_frames(message)
+        block = protocol.decode_frames(message)
     except protocol.ProtocolError:
         return
     # whatever is accepted can be stamped onto an event and sent back
-    json.dumps([f.time_s for f in frames], allow_nan=False)
+    json.dumps(block.times_s.tolist(), allow_nan=False)
+    # and is what int() and float() make of each frame's fields
+    assert repr([(f.index, f.time_s, f.values) for f in block.frames()]) == (
+        repr([(int(index), float(time_s), tuple(float(v) for v in values))
+              for index, time_s, values in message["frames"]]))
 
 
 hello_fields = {"protocol": st.one_of(st.just(protocol.PROTOCOL_NAME),

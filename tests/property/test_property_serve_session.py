@@ -2,8 +2,9 @@
 frames that reached its engine.
 
 Hypothesis runs :class:`~repro.serve.session.SessionManager` operations
-on a device session in any order — enqueue (with frames lost in
-transit, so the engine sees index gaps), dispatch, drop-oldest overflow
+on a device session in any order — enqueue (frame lists or
+:class:`~repro.acquisition.stream.FrameBlock` chunks, with frames lost
+in transit, so the engine sees index gaps), dispatch, drop-oldest overflow
 of a small queue, checkpoint and restore into a second manager (through
 JSON, as on the wire), idle eviction and close, after which the device
 opens a fresh session.  However they interleave, the events a session
@@ -27,6 +28,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.acquisition.stream import FrameBlock
 from repro.core.pipeline import AirFinger
 from repro.obs import MetricsRegistry, Tracer
 from repro.serve import ServeConfig, SessionManager
@@ -74,15 +76,18 @@ class SessionMachine(RuleBasedStateMachine):
 
     # ------------------------------------------------------------------
     @rule(n=st.integers(min_value=1, max_value=40),
-          lost=st.integers(min_value=0, max_value=15))
-    def enqueue(self, n, lost):
+          lost=st.integers(min_value=0, max_value=15),
+          as_block=st.booleans())
+    def enqueue(self, n, lost, as_block):
         """Send *n* frames, after losing *lost* in transit."""
         self.cursor += lost
         frames = list(self.frames[self.cursor:self.cursor + n])
         self.cursor += n
         self.now += 0.01 * n
         manager = self.managers[self.here]
-        dropped = manager.enqueue(self.session, frames)
+        dropped = manager.enqueue(
+            self.session, FrameBlock.from_frames(frames) if as_block
+            else frames)
         self.queue.extend(frames)
         overflow = max(0, len(self.queue) - CONFIG.max_queue_frames)
         del self.queue[:overflow]
@@ -130,7 +135,8 @@ class SessionMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     @invariant()
     def queue_matches_model(self):
-        assert [f for f, _ in self.session.queue] == self.queue
+        assert [f for block, _ in self.session.queue
+                for f in block.frames()] == self.queue
         assert self.session.pending == len(self.queue)
 
     def teardown(self):

@@ -9,11 +9,13 @@ ingestion path.  Two classes of silent corruption are locked out here:
   100 Hz budget.  Per-frame ``feed`` is one call per frame, so there it
   counts late frames.
 * **no hidden fallback** — the inputs that used to drop to a per-frame
-  path (a sampling tracer, ragged channel counts, a mid-stream
-  channel-count change, gap and stale stretch heads) go through the
+  path (a sampling tracer, gap and stale stretch heads) go through the
   block path and book the same events, state, counters and histogram
   sample counts as the parent's per-frame engine
-  (:mod:`tests.golden.stream_reference`).
+  (:mod:`tests.golden.stream_reference`); ragged channel counts and a
+  mid-stream channel-count change, which the guard-off engine once took
+  as runs of equal width, are refused with ``ValueError``, guard on or
+  off, before any frame of the call is ingested.
 """
 
 from __future__ import annotations
@@ -141,44 +143,51 @@ class TestBlockFallbackCounter:
         assert "pipeline.block_fallback" not in {s.name for s in spans}
 
     def test_ragged_channels_fallback(self):
-        """A list mixing widths is ingested as equal-width runs."""
-        registry = MetricsRegistry()
-        engine = AirFinger(metrics=registry, tracer=Tracer(sample=0.0),
-                           channel_guard=False)
+        """A list mixing widths is refused before anything is ingested,
+        guard on or off."""
         frames = ([RssFrame(index=i, time_s=i / 100.0, values=(1.0, 2.0))
                    for i in range(5)]
                   + [RssFrame(index=5, time_s=0.05, values=(1.0, 2.0, 3.0))])
-        events = engine.feed_block(frames)
-        reference, ref_registry = _reference(channel_guard=False)
-        assert [repr(e) for e in events] == _per_frame(reference, frames)
-        assert books(registry) == books(ref_registry)
-        assert engine.n_channels == 3
+        for guard in (True, False):
+            engine, registry = _engine(channel_guard=guard)
+            _, untouched = _engine(channel_guard=guard)
+            with pytest.raises(ValueError,
+                               match="disagree on channel count"):
+                engine.feed_block(frames)
+            assert engine.n_channels is None and engine.frames_fed == 0
+            assert books(registry) == books(untouched)
+            # the stream's first frame still sets its channel count
+            engine.feed_block(frames[5:])
+            assert engine.n_channels == 3
 
     def test_channel_count_change_fallback(self):
-        """Guard off: the prefilter restarts at the new width.  Guard
-        on: the reference's ``ValueError``."""
+        """The first frame sets the stream's channel count; a call with
+        another width raises ``ValueError`` and leaves the engine as it
+        was, guard on or off."""
         first = [RssFrame(index=i, time_s=i / 100.0, values=(1.0, 2.0, 3.0))
                  for i in range(8)]
         second = [RssFrame(index=8 + i, time_s=(8 + i) / 100.0,
                            values=(1.0, 2.0))
                   for i in range(8)]
-        engine, registry = _engine(channel_guard=False)
-        got = engine.feed_block(first) + engine.feed_block(second)
-        reference, ref_registry = _reference(channel_guard=False)
-        assert [repr(e) for e in got] == _per_frame(reference,
-                                                    first + second)
-        assert engine._prefilter.channels == 2
-        assert books(registry) == books(ref_registry)
-
-        guarded, _ = _engine()
-        guarded.feed_block(first)
-        with pytest.raises(ValueError) as raised:
-            guarded.feed_block(second)
-        reference, _ = _reference()
-        _per_frame(reference, first)
-        with pytest.raises(ValueError) as expected:
-            reference.feed(second[0])
-        assert str(raised.value) == str(expected.value)
+        for guard in (True, False):
+            engine, registry = _engine(channel_guard=guard)
+            engine.feed_block(first)
+            before = (engine.stream_position, engine._history(),
+                      books(registry))
+            with pytest.raises(ValueError,
+                               match="frames have 2 channels; this "
+                                     "stream's have 3"):
+                engine.feed_block(second)
+            with pytest.raises(ValueError, match="this stream's have 3"):
+                engine.feed(second[0])
+            after = (engine.stream_position, engine._history(),
+                     books(registry))
+            assert repr(after) == repr(before)
+            assert engine._prefilter.channels == 3
+            # the stream goes on at its own width
+            engine.feed_block([RssFrame(index=8, time_s=0.08,
+                                        values=(1.0, 2.0, 3.0))])
+            assert engine.frames_fed == 9
 
     def test_vectorized_path_books_no_fallback(self, short_stream):
         """No fallback or block-deadline series exists, whatever the
@@ -188,8 +197,9 @@ class TestBlockFallbackCounter:
         engine = AirFinger(metrics=registry, tracer=tracer,
                            channel_guard=False)
         engine.feed_frames(short_stream, block_size=256)
-        engine.feed_block([RssFrame(index=10_000, time_s=100.0,
-                                    values=(1.0, 2.0))])
+        with pytest.raises(ValueError, match="channels"):
+            engine.feed_block([RssFrame(index=10_000, time_s=100.0,
+                                        values=(1.0, 2.0))])
         counters = registry.snapshot().counters
         assert not [k for k in counters
                     if k.startswith(("pipeline.block_fallback",
@@ -199,8 +209,9 @@ class TestBlockFallbackCounter:
 class TestFeedBlockBoundaryDelegation:
     """Events, counters and histogram sample counts equal the reference
     engine's where a stretch head is not the next frame: empty input,
-    gap-opening and stale stretch heads, ragged channels mid-list, and
-    fully out-of-order blocks."""
+    gap-opening and stale stretch heads, and fully out-of-order blocks;
+    ragged channels mid-list and a width change at a gap head are
+    refused."""
 
     @staticmethod
     def _assert_equivalent(frames_groups) -> None:
@@ -252,10 +263,8 @@ class TestFeedBlockBoundaryDelegation:
         self._assert_equivalent([frames])
 
     def test_ragged_channels_mid_list(self):
-        # idle-level frames so no segment spans the ragged boundary (a
-        # ragged history is undefined for BOTH paths once a segment
-        # straddles it; the contract is reference-equivalence, not
-        # support)
+        """Guard off, a list whose width changes mid-list is refused
+        whole: none of its frames reach the engine."""
         frames = ([RssFrame(index=i, time_s=i / 100.0, values=(5.0, 6.0))
                    for i in range(30)]
                   + [RssFrame(index=30, time_s=0.30, values=(5.0, 6.0, 7.0))]
@@ -264,8 +273,12 @@ class TestFeedBlockBoundaryDelegation:
                      for i in range(30)])
         block_engine, registry = _engine(channel_guard=False)
         reference, ref_registry = _reference(channel_guard=False)
-        got = block_engine.feed_block(frames)
-        assert [repr(e) for e in got] == _per_frame(reference, frames)
+        with pytest.raises(ValueError, match="disagree on channel count"):
+            block_engine.feed_block(frames)
+        assert block_engine.frames_fed == 0
+        # the equal-width head alone matches the reference
+        got = block_engine.feed_block(frames[:30])
+        assert [repr(e) for e in got] == _per_frame(reference, frames[:30])
         assert books(registry) == books(ref_registry)
 
     def test_every_frame_out_of_order(self, short_stream):
@@ -293,11 +306,9 @@ class TestFeedBlockBoundaryDelegation:
         self._assert_equivalent([a + b + c + d])
 
     def test_gap_head_changes_channel_count(self):
-        """Guard off, a short gap whose head drops a channel: the bridge
-        interpolates the channels both sides have, as the reference
-        does."""
-        # idle-level values: no segment spans a width change (see
-        # test_ragged_channels_mid_list)
+        """Guard off, a short gap whose head drops a channel is refused
+        with its call; the stream goes on at its width, across the now
+        long gap, as the reference does."""
         rng = np.random.default_rng(7)
 
         def frames(first, n, width):
@@ -310,11 +321,15 @@ class TestFeedBlockBoundaryDelegation:
         back = frames(86, 40, 3)
         engine, registry = _engine(channel_guard=False)
         reference, ref_registry = _reference(channel_guard=False)
-        got = engine.feed_block(three + two + back)
+        got = engine.feed_block(three)
+        with pytest.raises(ValueError, match="frames have 2 channels"):
+            engine.feed_block(two)
+        got += engine.feed_block(back)
         assert [repr(e) for e in got] == _per_frame(reference,
-                                                    three + two + back)
+                                                    three + back)
         assert books(registry) == books(ref_registry)
-        assert list(engine._delta) == list(reference._delta)
+        assert (engine._history()[1].tolist()
+                == reference._history()[1].tolist())
 
 
 class TestBlockModeNumericSanity:

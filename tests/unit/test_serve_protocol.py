@@ -111,7 +111,7 @@ class TestFraming:
         message = protocol.frames_message(
             [RssFrame(index=0, time_s=0.0, values=(512.0, 498.0, 530.0))])
         [decoded] = MessageDecoder().feed(encode_message(message))
-        assert protocol.decode_frames(decoded)[0].values == (
+        assert protocol.decode_frames(decoded).frame(0).values == (
             512.0, 498.0, 530.0)
 
 
@@ -152,14 +152,15 @@ class TestFrames:
     def test_roundtrip_exact(self):
         message = protocol.frames_message(self.FRAMES)
         wire = MessageDecoder().feed(encode_message(message))[0]
-        assert protocol.decode_frames(wire) == self.FRAMES
+        assert list(protocol.decode_frames(wire).frames()) == self.FRAMES
 
     def test_frameblock_input(self):
         block = FrameBlock.from_frames(
             [RssFrame(index=i, time_s=i / 100.0, values=(1.0, 2.0))
              for i in range(4)])
         message = protocol.frames_message(block)
-        assert protocol.decode_frames(message) == list(block.frames())
+        assert (list(protocol.decode_frames(message).frames())
+                == list(block.frames()))
 
     def test_malformed_payload_rejected(self):
         with pytest.raises(ProtocolError, match="malformed frames"):
@@ -167,6 +168,46 @@ class TestFrames:
         with pytest.raises(ProtocolError, match="malformed frames"):
             protocol.decode_frames(
                 {"type": "frames", "frames": [[1, 0.01]]})
+
+    def test_decodes_one_columnar_block(self):
+        block = protocol.decode_frames(protocol.frames_message(self.FRAMES))
+        assert isinstance(block, FrameBlock)
+        assert block.indices.dtype == "int64"
+        assert block.values.shape == (2, 3)
+        assert block.values.dtype == block.times_s.dtype == "float64"
+        empty = protocol.decode_frames({"type": "frames", "frames": []})
+        assert len(empty) == 0
+
+    def test_ragged_frames_rejected(self):
+        with pytest.raises(ProtocolError, match="disagree on channel count"):
+            protocol.decode_frames({"type": "frames", "frames": [
+                [0, 0.0, [1.0, 2.0]], [1, 0.01, [1.0]]]})
+
+    @pytest.mark.parametrize("frame", [
+        [0, 0.0, [1.0, None]],        # float(None) raises; numpy would NaN
+        [0, None, [1.0]],
+        [None, 0.0, [1.0]],
+        [2 ** 63, 0.0, [1.0]],        # no int64 index
+        [0, 0.0, 5],
+    ])
+    def test_values_float_refuses_are_refused(self, frame):
+        with pytest.raises(ProtocolError, match="malformed frames"):
+            protocol.decode_frames({"type": "frames", "frames": [frame]})
+
+    def test_conversions_are_int_and_float(self):
+        """What ``int()``/``float()`` accept decodes as they convert it."""
+        block = protocol.decode_frames({"type": "frames", "frames": [
+            [True, "0.5", ["1e3", 2, False]], [2.9, 1, [-0.0, 1e308, 7]]]})
+        assert block.indices.tolist() == [1, 2]
+        assert block.times_s.tolist() == [0.5, 1.0]
+        assert block.values.tolist() == [[1000.0, 2.0, 0.0],
+                                         [-0.0, 1e308, 7.0]]
+
+    def test_non_finite_time_names_the_frame(self):
+        with pytest.raises(ProtocolError,
+                           match="frame 4 has non-finite time_s inf"):
+            protocol.decode_frames({"type": "frames", "frames": [
+                [3, 0.0, [1.0]], [4, float("inf"), [1.0]]]})
 
 
 class TestEvents:

@@ -112,7 +112,7 @@ class TestBackpressure:
         assert dropped == 30
         assert session.pending == 100
         # oldest went first: the head of the queue is now frame 30
-        assert session.queue[0][0].index == 30
+        assert session.queue[0][0].indices[0] == 30
         assert session.dropped == 30
         assert _counter(registry,
                         'serve.backpressure_drops{tenant="t0"}') == 30
@@ -126,7 +126,7 @@ class TestBackpressure:
         events = manager.dispatch(session)          # consume 0..49
         # 100 more arrive while the pipeline is busy; queue keeps 50
         manager.enqueue(session, _frames(50, 100))
-        assert session.queue[0][0].index == 100     # 50..99 dropped
+        assert session.queue[0][0].indices[0] == 100   # 50..99 dropped
         events += manager.dispatch(session)
         gaps = [e for e in events if isinstance(e, StreamGap)]
         assert len(gaps) == 1
