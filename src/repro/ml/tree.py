@@ -3,7 +3,10 @@
 A vectorized implementation: at each node the best split over a (possibly
 random) feature subset is found by sorting each candidate column once and
 scanning cumulative class counts, so split search costs
-``O(F * n log n)`` per node rather than ``O(F * n^2)``.
+``O(F * n log n)`` per node rather than ``O(F * n^2)``.  All candidate
+columns go through one numpy pass together (in slices of bounded size),
+so a small node costs a few dozen numpy calls, not a few dozen per
+feature.
 
 A fitted tree is a :class:`FlatTree`: its nodes in pre-order as parallel
 arrays, the layout :mod:`repro.ml.serialize` writes.  Prediction walks
@@ -109,12 +112,17 @@ class TreeStack:
         return self.proba[cursor]
 
 
+#: Elements of one ``(features, positions, classes)`` array of the split
+#: search; a node's candidate features are scored in slices that fit.
+_SLICE_ELEMENTS = 1 << 16
+
+
 def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
+    total = np.add.reduce(counts)
     if total <= 0:
         return 0.0
     p = counts / total
-    return float(1.0 - np.sum(p * p))
+    return float(1.0 - np.add.reduce(p * p))
 
 
 @dataclass
@@ -228,87 +236,91 @@ class DecisionTreeClassifier:
         lefts.append(-1)
         rights.append(-1)
         all_counts.append(counts)
-        n_eff = weights.sum()
         if (len(X) < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or _gini(counts) <= 1e-12):
+                or (self.max_depth is not None and depth >= self.max_depth)):
             return node
-
-        best = self._best_split(X, codes, weights, counts, rng)
+        gini = _gini(counts)
+        if gini <= 1e-12:
+            return node
+        n_eff = np.add.reduce(weights)
+        best = self._best_split(X, codes, weights, counts, gini, n_eff, rng)
         if best is None:
             return node
         feature, threshold, gain, left_mask = best
         features[node] = feature
         thresholds[node] = threshold
         self.feature_importances_[feature] += gain * n_eff
+        right_mask = ~left_mask
         lefts[node] = self._grow(X[left_mask], codes[left_mask],
                                  weights[left_mask], n_classes, depth + 1,
                                  rng, nodes)
-        rights[node] = self._grow(X[~left_mask], codes[~left_mask],
-                                  weights[~left_mask], n_classes, depth + 1,
+        rights[node] = self._grow(X[right_mask], codes[right_mask],
+                                  weights[right_mask], n_classes, depth + 1,
                                   rng, nodes)
         return node
 
     def _best_split(self, X: np.ndarray, codes: np.ndarray,
                     weights: np.ndarray, counts: np.ndarray,
+                    parent_gini: float, total_w: float,
                     rng: np.random.Generator):
+        """``(feature, threshold, gain, left_mask)`` of the node's best
+        split, or ``None``.
+
+        Every candidate feature is scored in one pass: each column's
+        stable sort order, the cumulative weighted class counts along it
+        and the Gini gain of every split position, as ``(features,
+        positions, classes)`` arrays of at most :data:`_SLICE_ELEMENTS`
+        elements.  Split position ``i`` sends the first ``i + 1`` sorted
+        rows left; it is valid where the value changes, both sides keep
+        ``min_samples_leaf`` rows and some weight.  The winner is the
+        first candidate whose best gain beats the best so far.
+        """
         n, f_total = X.shape
         k = self._n_candidate_features()
         if k < f_total:
             candidates = rng.choice(f_total, size=k, replace=False)
         else:
             candidates = np.arange(f_total)
-        parent_gini = _gini(counts)
-        total_w = weights.sum()
+        lo, hi = self.min_samples_leaf - 1, n - self.min_samples_leaf
+        if lo >= hi:
+            return None
         n_classes = len(counts)
-        best_gain = 1e-12
-        best = None
         onehot = np.zeros((n, n_classes))
         onehot[np.arange(n), codes] = weights
-        for f in candidates:
-            col = X[:, f]
-            order = np.argsort(col, kind="stable")
-            sorted_col = col[order]
-            # cumulative weighted class counts left of each split position
-            cum = np.cumsum(onehot[order], axis=0)
-            w_left = cum.sum(axis=1)
-            w_right = total_w - w_left
-            # valid split positions: value changes and both sides non-trivial
-            distinct = sorted_col[1:] != sorted_col[:-1]
-            pos = np.nonzero(distinct)[0]
-            if pos.size == 0:
-                continue
-            # enforce min_samples_leaf in raw sample counts
-            raw_left = np.arange(1, n)
-            ok = ((raw_left[pos - 0] >= self.min_samples_leaf)
-                  & ((n - raw_left[pos - 0]) >= self.min_samples_leaf))
-            pos = pos[ok]
-            if pos.size == 0:
-                continue
-            left_counts = cum[pos]
-            right_counts = counts - left_counts
-            wl = w_left[pos]
-            wr = w_right[pos]
-            valid = (wl > 0) & (wr > 0)
-            if not valid.any():
-                continue
-            pl = left_counts / np.maximum(wl[:, None], 1e-300)
-            pr = right_counts / np.maximum(wr[:, None], 1e-300)
-            gini_l = 1.0 - np.sum(pl * pl, axis=1)
-            gini_r = 1.0 - np.sum(pr * pr, axis=1)
-            child = (wl * gini_l + wr * gini_r) / total_w
-            gain = parent_gini - child
-            gain[~valid] = -np.inf
-            j = int(np.argmax(gain))
-            if gain[j] > best_gain:
-                split_idx = pos[j]
-                threshold = 0.5 * (sorted_col[split_idx] + sorted_col[split_idx + 1])
-                left_mask = col <= threshold
-                # guard against numerically degenerate thresholds
-                if left_mask.all() or not left_mask.any():
-                    continue
-                best_gain = float(gain[j])
-                best = (int(f), float(threshold), best_gain, left_mask)
+        best_gain = 1e-12
+        best = None
+        step = max(1, _SLICE_ELEMENTS // (n * n_classes))
+        for start in range(0, k, step):
+            block = X.T[candidates[start:start + step]]
+            order = np.argsort(block, axis=1, kind="stable")
+            values = block[np.arange(len(block))[:, None], order]
+            cum = onehot[order]
+            np.add.accumulate(cum, axis=1, out=cum)
+            left = cum[:, lo:hi]
+            wl = np.add.reduce(left, axis=2)
+            wr = total_w - wl
+            pl = left / np.maximum(wl, 1e-300)[..., None]
+            pr = np.subtract(counts, left, out=left)  # right-side counts
+            pr /= np.maximum(wr, 1e-300)[..., None]
+            pl *= pl
+            pr *= pr
+            child = (wl * (1.0 - np.add.reduce(pl, axis=2))
+                     + wr * (1.0 - np.add.reduce(pr, axis=2))) / total_w
+            valid = ((values[:, lo + 1:hi + 1] != values[:, lo:hi])
+                     & (wl > 0) & (wr > 0))
+            gain = np.where(valid, parent_gini - child, -np.inf)
+            tops = gain.max(axis=1).tolist()
+            splits = (lo + gain.argmax(axis=1)).tolist()
+            for i, (top, p) in enumerate(zip(tops, splits)):
+                if top > best_gain:
+                    f = candidates[start + i]
+                    threshold = 0.5 * (values[i, p] + values[i, p + 1])
+                    left_mask = X[:, f] <= threshold
+                    # guard against numerically degenerate thresholds
+                    if left_mask.all() or not left_mask.any():
+                        continue
+                    best_gain = top
+                    best = (int(f), float(threshold), best_gain, left_mask)
         return best
 
     # ------------------------------------------------------------------
