@@ -3,7 +3,7 @@
 Usage (from the repository root)::
 
     python3 benchmarks/ab_pairs.py BASE [HEAD] [--pairs N] [--seconds S]
-                                   [--workload W ...] [--seed N]
+                                   [--workload W ...] [--seed N] [--out DIR]
 
 ``BASE`` (and ``HEAD``, when given) is any git revision; its committed
 files are exported into a temporary directory with ``git archive``, so
@@ -25,6 +25,14 @@ pairs head won, the base side's interquartile range and a verdict —
 when head won at least 90% of the pairs and its median beats base's by
 more than base's IQR, ``same`` otherwise.  Exit status: 1 when a run
 failed or checked any frame wrong, 2 when a verdict is ``worse``, else 0.
+
+With ``--out DIR`` each verdict is also appended to ``DIR/BENCH_ab.json``
+as a relative ledger record: one per workload and end-to-end metric, its
+value the median head/base ratio (unit ``x``), its direction and
+tolerance the metric's ``BENCHMARK.json`` direction and bound, its
+``git_sha`` the head commit and its ``scale`` the base commit, the
+pairs, seconds, first seed, pairs won, base IQR, both medians and the
+verdict.
 """
 
 from __future__ import annotations
@@ -84,6 +92,7 @@ def summarize(pairs: list[dict], declared: list[dict]) -> list[dict]:
         else:
             verdict = "same"
         rows.append({"metric": name, "unit": metric["unit"],
+                     "better": metric["better"],
                      "base_median": statistics.median(base),
                      "head_median": statistics.median(head),
                      "ratio": ratio, "wins": wins, "pairs": len(pairs),
@@ -103,6 +112,34 @@ def format_rows(workload: str, rows: list[dict]) -> str:
             f"{r['wins']:>2}/{r['pairs']:<2} {r['base_iqr']:>10.4g} "
             f"{r['bound']:>6.2f}  {r['verdict']}")
     return "\n".join(out)
+
+
+def ledger_records(workload: str, rows: list[dict], *, base_sha: str,
+                   head_sha: str, seconds: float, seed: int) -> list:
+    """One :class:`~repro.obs.ledger.BenchRecord` per row of
+    :func:`summarize`: the verdict of *workload* as a relative record."""
+    from repro.obs.ledger import BenchRecord
+
+    records = []
+    for r in rows:
+        record = BenchRecord.create(
+            "ab", workload, r["metric"], r["ratio"], unit="x",
+            direction=f"{r['better']}_is_better", tolerance=r["bound"],
+            scale={"base_sha": base_sha, "pairs": r["pairs"],
+                   "seconds": seconds, "first_seed": seed,
+                   "wins": r["wins"], "base_iqr": r["base_iqr"],
+                   "base_median": r["base_median"],
+                   "head_median": r["head_median"],
+                   "verdict": r["verdict"]})
+        record.git_sha = head_sha
+        records.append(record)
+    return records
+
+
+def rev_parse(revision: str) -> str:
+    return subprocess.run(["git", "rev-parse", revision], cwd=ROOT,
+                          check=True, capture_output=True,
+                          text=True).stdout.strip()
 
 
 def export(revision: str, into: Path) -> Path:
@@ -151,7 +188,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="repeatable; default: every workload")
     parser.add_argument("--seed", type=int, default=2020,
                         help="seed of the first pair; pair i uses seed+i")
+    parser.add_argument("--out", type=Path, default=None, metavar="DIR",
+                        help="append each verdict to DIR/BENCH_ab.json")
     args = parser.parse_args(argv)
+    if args.out is not None:
+        sys.path.insert(0, str(ROOT / "src"))
+        from repro.obs.ledger import BenchLedger, ledger_path
+        shas = {"base": rev_parse(args.base),
+                "head": rev_parse(args.head or "HEAD")}
 
     status = 0
     with tempfile.TemporaryDirectory(prefix="ab-pairs-") as scratch:
@@ -184,6 +228,11 @@ def main(argv: list[str] | None = None) -> int:
                 status = 2
             summaries.append(format_rows(workload, rows))
             print(summaries[-1], flush=True)
+            if args.out is not None and rows:
+                BenchLedger(ledger_path(args.out, "ab")).append(
+                    ledger_records(workload, rows, base_sha=shas["base"],
+                                   head_sha=shas["head"],
+                                   seconds=args.seconds, seed=args.seed))
         print("\n".join(["", "summary", *summaries]))
     return status
 

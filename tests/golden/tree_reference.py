@@ -154,7 +154,7 @@ def perf_training_set() -> tuple[np.ndarray, np.ndarray]:
     segments only."""
     perf = str(Path(__file__).resolve().parents[2] / "benchmarks" / "perf")
     if perf not in sys.path:
-        sys.path.insert(0, perf)
+        sys.path.append(perf)
     import harness
 
     generator = harness.population(3)

@@ -86,3 +86,38 @@ def test_past_the_bound_is_worse_either_direction():
     assert row["wins"] == 0 and row["verdict"] == "worse"
     text = ab_pairs.format_rows("fleet_idle", rows)
     assert "frames_per_cpu_s" in text and "worse" in text
+
+
+def test_ledger_records_one_ratio_per_metric(tmp_path):
+    from repro.obs.ledger import BenchLedger, ledger_path
+
+    base_head = [(100.0 + k, 112.0 + k) for k in range(9)] + [(120.0, 119.0)]
+    rows = ab_pairs.summarize(_pairs(base_head, setup_s=0.2), DECLARED)
+    records = ab_pairs.ledger_records(
+        "fleet_idle", rows, base_sha="b" * 40, head_sha="h" * 40,
+        seconds=25.0, seed=7300)
+    assert [r.metric for r in records] == [m["name"] for m in DECLARED]
+    by_metric = {r.metric: r for r in records}
+    for metric in DECLARED:
+        record, row = by_metric[metric["name"]], _row(rows, metric["name"])
+        assert record.key == ("ab", "fleet_idle", metric["name"])
+        assert record.value == row["ratio"] and record.unit == "x"
+        assert record.direction == f"{metric['better']}_is_better"
+        assert record.tolerance == metric["bound"]
+        assert record.git_sha == "h" * 40
+        assert record.scale == {
+            "base_sha": "b" * 40, "pairs": 10, "seconds": 25.0,
+            "first_seed": 7300, "wins": row["wins"],
+            "base_iqr": row["base_iqr"], "base_median": row["base_median"],
+            "head_median": row["head_median"], "verdict": row["verdict"]}
+    assert by_metric["frames_per_cpu_s"].scale["verdict"] == "better"
+    assert by_metric["setup_s"].value == pytest.approx(0.2 / 0.3)
+    assert by_metric["setup_s"].scale["wins"] == 10
+
+    # what --out appends, read back as the ledger comparison reads it
+    path = ledger_path(tmp_path, "ab")
+    BenchLedger(path).append(records)
+    BenchLedger(path).append(records[:1])
+    loaded = BenchLedger(path).load()
+    assert [r.to_dict() for r in loaded] == [
+        r.to_dict() for r in records + records[:1]]
