@@ -268,12 +268,12 @@ class DecisionTreeClassifier:
 
         Every candidate feature is scored in one pass: each column's
         stable sort order, the cumulative weighted class counts along it
-        and the Gini gain of every split position, as ``(features,
-        positions, classes)`` arrays of at most :data:`_SLICE_ELEMENTS`
-        elements.  Split position ``i`` sends the first ``i + 1`` sorted
-        rows left; it is valid where the value changes, both sides keep
-        ``min_samples_leaf`` rows and some weight.  The winner is the
-        first candidate whose best gain beats the best so far.
+        (``(features, positions, classes)`` arrays of at most
+        :data:`_SLICE_ELEMENTS` elements) and the Gini gain of every
+        valid split position.  Position ``i`` sends the first ``i + 1``
+        sorted rows left; it is valid where the value changes, both
+        sides keep ``min_samples_leaf`` rows and some weight.  The winner
+        is the first candidate whose best gain beats the best so far.
         """
         n, f_total = X.shape
         k = self._n_candidate_features()
@@ -296,19 +296,21 @@ class DecisionTreeClassifier:
             values = block[np.arange(len(block))[:, None], order]
             cum = onehot[order]
             np.add.accumulate(cum, axis=1, out=cum)
-            left = cum[:, lo:hi]
-            wl = np.add.reduce(left, axis=2)
+            # only positions where the value changes are scored
+            fi, pi = np.nonzero(values[:, lo + 1:hi + 1] != values[:, lo:hi])
+            left = cum[fi, lo + pi]
+            wl = np.add.reduce(left, axis=1)
             wr = total_w - wl
-            pl = left / np.maximum(wl, 1e-300)[..., None]
+            pl = left / np.maximum(wl, 1e-300)[:, None]
             pr = np.subtract(counts, left, out=left)  # right-side counts
-            pr /= np.maximum(wr, 1e-300)[..., None]
+            pr /= np.maximum(wr, 1e-300)[:, None]
             pl *= pl
             pr *= pr
-            child = (wl * (1.0 - np.add.reduce(pl, axis=2))
-                     + wr * (1.0 - np.add.reduce(pr, axis=2))) / total_w
-            valid = ((values[:, lo + 1:hi + 1] != values[:, lo:hi])
-                     & (wl > 0) & (wr > 0))
-            gain = np.where(valid, parent_gini - child, -np.inf)
+            child = (wl * (1.0 - np.add.reduce(pl, axis=1))
+                     + wr * (1.0 - np.add.reduce(pr, axis=1))) / total_w
+            gain = np.full((len(block), hi - lo), -np.inf)
+            gain[fi, pi] = np.where((wl > 0) & (wr > 0),
+                                    parent_gini - child, -np.inf)
             tops = gain.max(axis=1).tolist()
             splits = (lo + gain.argmax(axis=1)).tolist()
             for i, (top, p) in enumerate(zip(tops, splits)):
