@@ -30,6 +30,7 @@ from repro.ml.forest import RandomForestClassifier  # noqa: E402
 from tests.golden.tree_reference import (  # noqa: E402
     perf_training_set,
     reference_trees,
+    tree_bytes,
 )
 
 ROUNDS = 5
@@ -53,13 +54,6 @@ def _cpu_fit(fit, X, y) -> tuple[float, RandomForestClassifier]:
     return time.process_time() - t0, forest
 
 
-def _tree_bytes(forest) -> list[tuple[bytes, ...]]:
-    return [(t.tree_.feature.tobytes(), t.tree_.threshold.tobytes(),
-             t.tree_.left.tobytes(), t.tree_.right.tobytes(),
-             t.tree_.counts.tobytes(), t.feature_importances_.tobytes())
-            for t in forest.estimators_]
-
-
 def _least_cpu(X, y) -> tuple[float, float]:
     """Least CPU seconds of the fit and of the reference fit, over
     interleaved rounds; both must grow the same trees."""
@@ -70,7 +64,8 @@ def _least_cpu(X, y) -> tuple[float, float]:
         fast_s = min(fast_s, t)
         t, reference = _cpu_fit(_reference_fit, X, y)
         reference_s = min(reference_s, t)
-        assert _tree_bytes(fast) == _tree_bytes(reference)
+        assert ([tree_bytes(e) for e in fast.estimators_]
+                == [tree_bytes(e) for e in reference.estimators_])
         assert (fast.feature_importances_.tobytes()
                 == reference.feature_importances_.tobytes())
     return fast_s, reference_s

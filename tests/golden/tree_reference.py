@@ -8,8 +8,8 @@ called, kept verbatim as the reference that
 ``benchmarks/test_forest_fit.py`` hold today's
 :mod:`repro.ml.tree` to, bit for bit.  Only the imports, the subclass
 around the two methods, :func:`reference_trees` (a forest grows these
-trees inside it) and :func:`perf_training_set` (the matrix both check
-on) are new.
+trees inside it), :func:`tree_bytes` (what "the same tree" means) and
+:func:`perf_training_set` (the matrix both check on) are new.
 """
 
 from __future__ import annotations
@@ -144,6 +144,16 @@ def reference_trees():
         yield
     finally:
         forest.DecisionTreeClassifier = tree
+
+
+def tree_bytes(tree: DecisionTreeClassifier) -> tuple[bytes, ...]:
+    """The bytes of a fitted tree's :class:`~repro.ml.tree.FlatTree`
+    arrays and its ``feature_importances_``: equal exactly when two
+    trees are identical bit for bit."""
+    flat = tree.tree_
+    return (flat.feature.tobytes(), flat.threshold.tobytes(),
+            flat.left.tobytes(), flat.right.tobytes(),
+            flat.counts.tobytes(), tree.feature_importances_.tobytes())
 
 
 def perf_training_set() -> tuple[np.ndarray, np.ndarray]:

@@ -18,9 +18,8 @@ from tests.golden.tree_reference import (
     ReferenceDecisionTreeClassifier,
     perf_training_set,
     reference_trees,
+    tree_bytes,
 )
-
-FLAT_FIELDS = ("feature", "threshold", "left", "right", "counts")
 
 #: ties, signed zeros, extreme magnitudes and a pair of neighbouring
 #: floats whose midpoint rounds onto the larger (a degenerate threshold)
@@ -29,15 +28,6 @@ POOL = (0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), -1.0, 0.5, 2.5,
 #: fractional weights make the order of the cumulative sums show in
 #: their bits, so a split search that sorts ties differently differs
 FRACTIONS = (0.0, 0.1, 0.3, 1 / 3, 0.7, 2.9)
-
-
-def assert_same_tree(new, ref) -> None:
-    for name in FLAT_FIELDS:
-        a, b = getattr(new.tree_, name), getattr(ref.tree_, name)
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
-    assert (new.feature_importances_.tobytes()
-            == ref.feature_importances_.tobytes())
 
 
 @st.composite
@@ -90,7 +80,7 @@ def test_tree_matches_reference(case):
         tree_module._SLICE_ELEMENTS = budget
     ref = ReferenceDecisionTreeClassifier(**params).fit(
         X, codes, sample_weight=weights, n_classes=n_classes)
-    assert_same_tree(new, ref)
+    assert tree_bytes(new) == tree_bytes(ref)
 
 
 def test_degenerate_threshold_passes_to_the_next_candidate():
@@ -102,7 +92,8 @@ def test_degenerate_threshold_passes_to_the_next_candidate():
     y = np.array([0, 0, 1, 1])
     new = DecisionTreeClassifier().fit(X, y)
     assert new.tree_.feature[0] == 1
-    assert_same_tree(new, ReferenceDecisionTreeClassifier().fit(X, y))
+    ref = ReferenceDecisionTreeClassifier().fit(X, y)
+    assert tree_bytes(new) == tree_bytes(ref)
 
 
 def test_large_node_crosses_the_slice_budget():
@@ -115,7 +106,7 @@ def test_large_node_crosses_the_slice_budget():
     new = DecisionTreeClassifier(max_depth=4).fit(X, y)
     ref = ReferenceDecisionTreeClassifier(max_depth=4).fit(X, y)
     assert new.tree_.n_nodes > 7
-    assert_same_tree(new, ref)
+    assert tree_bytes(new) == tree_bytes(ref)
 
 
 def test_benchmark_forest_matches_reference():
@@ -128,6 +119,6 @@ def test_benchmark_forest_matches_reference():
     assert all(type(t) is ReferenceDecisionTreeClassifier
                for t in ref.estimators_)
     for a, b in zip(new.estimators_, ref.estimators_, strict=True):
-        assert_same_tree(a, b)
+        assert tree_bytes(a) == tree_bytes(b)
     assert (new.feature_importances_.tobytes()
             == ref.feature_importances_.tobytes())
