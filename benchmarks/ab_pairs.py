@@ -32,7 +32,10 @@ value the median head/base ratio (unit ``x``), its direction and
 tolerance the metric's ``BENCHMARK.json`` direction and bound, its
 ``git_sha`` the head commit and its ``scale`` the base commit, the
 pairs, seconds, first seed, pairs won, base IQR, both medians and the
-verdict.
+verdict.  ``--out`` needs an explicit ``HEAD``: a working tree is not a
+commit, and may change while the pairs run, so its records could not
+name what was measured.  A workload with a failed run or a wrong frame
+is not ledgered.
 """
 
 from __future__ import annotations
@@ -156,12 +159,16 @@ def export(revision: str, into: Path) -> Path:
     return tree
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_side(tree: Path, workload: str, seed: int, seconds: float,
+             trace: bool = False) -> dict:
+    """One run of *tree*'s ``run.py`` in its own process, as
+    :func:`parse_run` reads it plus its ``returncode``; ``failed`` is -1
+    and ``error`` says why when it printed no summary."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, str(tree / "benchmarks" / "perf" / "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), *(["--trace"] if trace else [])],
         cwd=tree, env=env, capture_output=True, text=True)
     try:
         run = parse_run(proc.stdout)
@@ -180,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("base", help="git revision of the base side")
     parser.add_argument("head", nargs="?", default=None,
                         help="git revision of the head side (default: "
-                             "this working tree)")
+                             "this working tree; required by --out)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float,
                         default=spec["run_seconds"])
@@ -192,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="append each verdict to DIR/BENCH_ab.json")
     args = parser.parse_args(argv)
     if args.out is not None:
+        if args.head is None:
+            parser.error("--out needs an explicit HEAD revision: the "
+                         "working tree is no commit its records can name")
         sys.path.insert(0, str(ROOT / "src"))
         from repro.obs.ledger import BenchLedger, ledger_path
         shas = {"base": rev_parse(args.base),
@@ -207,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
               flush=True)
         summaries = []
         for workload in args.workload or workloads:
-            pairs = []
+            pairs, failed = [], 0
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -220,15 +230,19 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} pair {i} seed {seed} {side}: "
                           f"{values} failed={run['failed']}", flush=True)
                     if run["failed"] != 0 or run.get("returncode"):
-                        status = 1
+                        failed += 1
                 if all(pair[side]["metrics"] for side in SIDES):
                     pairs.append(pair)
             rows = summarize(pairs, spec["end_to_end"]) if pairs else []
-            if any(r["verdict"] == "worse" for r in rows) and not status:
+            if failed:
+                status = 1
+            elif any(r["verdict"] == "worse" for r in rows) and not status:
                 status = 2
             summaries.append(format_rows(workload, rows))
+            if failed:
+                summaries[-1] += f"\n  {failed} runs failed: not ledgered"
             print(summaries[-1], flush=True)
-            if args.out is not None and rows:
+            if args.out is not None and rows and not failed:
                 BenchLedger(ledger_path(args.out, "ab")).append(
                     ledger_records(workload, rows, base_sha=shas["base"],
                                    head_sha=shas["head"],

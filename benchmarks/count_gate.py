@@ -2,10 +2,11 @@
 
 Usage (from the repository root)::
 
-    python3 benchmarks/count_gate.py [--workload W ...] [--update]
+    python3 benchmarks/count_gate.py [--update]
 
-For each workload the gate runs ``benchmarks/perf/run.py --workload W
---trace --seed 31 --seconds 1`` in its own process and reads seven
+For each workload of ``BENCHMARK.json`` the gate runs
+``benchmarks/perf/run.py --workload W --trace --seed 31 --seconds 1`` in
+its own process (``ab_pairs.run_side``) and reads seven
 per-layer counts from its JSON summary: segments per kframe, dispatcher
 and ZEBRA calls per segment, faults and ``feed_block`` calls per kframe,
 metric records per frame and frames per dispatch.  They count work, not
@@ -17,18 +18,18 @@ Each count is compared for exact equality with its record in
 either direction fails: ``airfinger bench compare`` is direction-aware
 and would pass a drop in calls per segment as an improvement.  Exit
 status: 0 when every count matches, 1 when one moved, has no baseline
-or a run failed.  ``--update`` rewrites the baseline records of the
-workloads run from this tree's counts instead.
+or a run failed.  ``--update`` rewrites the baseline from this tree's
+counts instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
+
+import ab_pairs
 
 ROOT = Path(__file__).resolve().parents[1]
 BASELINE = ROOT / "benchmarks" / "baselines" / "BENCH_counts.json"
@@ -46,19 +47,13 @@ COUNTS = (
 
 
 def traced_counts(workload: str) -> dict[str, float]:
-    """The seven counts of one traced run of *workload*."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / "perf" / "run.py"),
-         "--workload", workload, "--trace", "--seed", str(SEED),
-         "--seconds", str(SECONDS)],
-        cwd=ROOT, env=env, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{workload}: run.py exited {proc.returncode}\n"
-                           f"{proc.stderr[-2000:]}")
-    metrics = json.loads(lines[-1])["metrics"]
-    return {name: float(metrics[name]["value"]) for name in COUNTS}
+    """The seven counts of one traced run of *workload* in this tree."""
+    run = ab_pairs.run_side(ROOT, workload, SEED, SECONDS, trace=True)
+    if run["failed"] != 0 or run.get("returncode"):
+        why = run.get("error") or (f"exit {run['returncode']}, "
+                                   f"{run['failed']} failed frames")
+        raise RuntimeError(f"{workload}: traced run.py failed: {why}")
+    return {name: run["metrics"][name] for name in COUNTS}
 
 
 def compare(counts: dict[str, dict[str, float]],
@@ -80,24 +75,20 @@ def main(argv: list[str] | None = None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(
         prog="benchmarks/count_gate.py", description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", action="append", choices=workloads,
-                        help="repeatable; default: every workload")
     parser.add_argument("--update", action="store_true",
                         help=f"rewrite {BASELINE.relative_to(ROOT)} from "
                              "this tree's counts")
     args = parser.parse_args(argv)
 
     try:
-        counts = {w: traced_counts(w) for w in args.workload or workloads}
+        counts = {w: traced_counts(w) for w in workloads}
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1
     if args.update:
         declared = {m["name"]: m for m in spec["per_layer"]}
-        kept = [r for r in BenchLedger(BASELINE).load()
-                if r.benchmark not in counts]
         BASELINE.unlink(missing_ok=True)
-        BenchLedger(BASELINE).append(kept + [
+        BenchLedger(BASELINE).append([
             BenchRecord.create(
                 "counts", workload, name, value,
                 unit=declared[name]["unit"],

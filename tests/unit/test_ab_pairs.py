@@ -121,3 +121,35 @@ def test_ledger_records_one_ratio_per_metric(tmp_path):
     loaded = BenchLedger(path).load()
     assert [r.to_dict() for r in loaded] == [
         r.to_dict() for r in records + records[:1]]
+
+
+def test_out_needs_an_explicit_head(tmp_path, capsys):
+    # the working tree is no commit: its records could not name what ran
+    with pytest.raises(SystemExit) as exc:
+        ab_pairs.main(["HEAD", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "explicit HEAD" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_workload_with_failed_runs_is_not_ledgered(tmp_path, monkeypatch):
+    from repro.obs.ledger import BenchLedger, ledger_path
+
+    def run_side(tree, workload, seed, seconds, trace=False):
+        wrong = workload == "fleet_dense" and tree.name == "head" and seed == 1
+        run = ab_pairs.parse_run(_stdout(100.0, 0.1, failed=int(wrong)))
+        return {**run, "returncode": int(wrong)}
+
+    monkeypatch.setattr(ab_pairs, "export", lambda rev, into: into / rev)
+    monkeypatch.setattr(ab_pairs, "rev_parse", lambda rev: f"{rev}-sha")
+    monkeypatch.setattr(ab_pairs, "run_side", run_side)
+    status = ab_pairs.main(["base", "head", "--pairs", "2", "--seed", "0",
+                            "--workload", "fleet_idle",
+                            "--workload", "fleet_dense",
+                            "--out", str(tmp_path)])
+    assert status == 1
+    records = BenchLedger(ledger_path(tmp_path, "ab")).load()
+    assert [r.key for r in records] == [
+        ("ab", "fleet_idle", m["name"]) for m in DECLARED]
+    assert {r.git_sha for r in records} == {"head-sha"}
+    assert {r.scale["base_sha"] for r in records} == {"base-sha"}

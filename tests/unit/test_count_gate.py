@@ -6,6 +6,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "benchmarks"))
 import count_gate  # noqa: E402
@@ -50,3 +52,21 @@ def test_committed_baseline_has_every_count_exactly():
                     for c in count_gate.COUNTS}
     assert len(records) == len(keys)
     assert all(r.tolerance == 0.0 for r in records)
+
+
+def test_traced_counts_reads_one_traced_run(monkeypatch):
+    calls = []
+
+    def run_side(tree, workload, seed, seconds, trace=False):
+        calls.append((tree, workload, seed, seconds, trace))
+        metrics = {**dict.fromkeys(count_gate.COUNTS, 2.0), "setup_s": 0.3}
+        return {"failed": failed, "metrics": metrics, "returncode": failed}
+
+    monkeypatch.setattr(count_gate.ab_pairs, "run_side", run_side)
+    failed = 0
+    assert count_gate.traced_counts("offline") == dict.fromkeys(
+        count_gate.COUNTS, 2.0)
+    assert calls == [(count_gate.ROOT, "offline", 31, 1.0, True)]
+    failed = 3
+    with pytest.raises(RuntimeError, match="3 failed frames"):
+        count_gate.traced_counts("offline")
