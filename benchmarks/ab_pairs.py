@@ -21,10 +21,13 @@ one session to the next.
 It prints every run, then for each workload and each end-to-end metric
 of ``BENCHMARK.json``: the medians, the median ratio head/base, the
 pairs head won, the base side's interquartile range and a verdict —
-``worse`` when the median ratio is past the metric's bound, ``better``
-when head won at least 90% of the pairs and its median beats base's by
-more than base's IQR, ``same`` otherwise.  Exit status: 1 when a run
-failed or checked any frame wrong, 2 when a verdict is ``worse``, else 0.
+``worse`` when the median ratio is past the metric's bound;
+``unresolved`` when either side's runs spread (max - min) wider than
+the bound times that side's median, so the pairs cannot tell a move
+from noise, unless every head run beats every base run; ``better`` when
+head won at least 90% of the pairs and its median beats base's by more
+than base's IQR; ``same`` otherwise.  Exit status: 1 when a run failed
+or checked any frame wrong, 2 when a verdict is ``worse``, else 0.
 
 With ``--out DIR`` each verdict is also appended to ``DIR/BENCH_ab.json``
 as a relative ledger record: one per workload and end-to-end metric, its
@@ -87,9 +90,15 @@ def summarize(pairs: list[dict], declared: list[dict]) -> list[dict]:
         ratio = statistics.median(ratios)
         gain = statistics.median(head) - statistics.median(base)
         iqr = _iqr(base)
+        wide = any(max(runs) - min(runs) > metric["bound"]
+                   * statistics.median(runs) for runs in (base, head))
+        separated = (min(head) > max(base)) if higher else (
+            max(head) < min(base))
         if (ratio < 1.0 - metric["bound"]) if higher else (
                 ratio > 1.0 + metric["bound"]):
             verdict = "worse"
+        elif wide and not separated:
+            verdict = "unresolved"
         elif wins >= 0.9 * len(pairs) and (gain if higher else -gain) > iqr:
             verdict = "better"
         else:

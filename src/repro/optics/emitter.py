@@ -70,7 +70,16 @@ class NirLed:
         """
         axis = normalize(np.asarray(axis, dtype=np.float64))
         directions = normalize(np.atleast_2d(np.asarray(directions, dtype=np.float64)))
-        cos_theta = np.clip(batch_dot(directions, axis), 0.0, 1.0)
+        return self.intensity_at(batch_dot(directions, axis))
+
+    def intensity_at(self, cos_theta: np.ndarray) -> np.ndarray:
+        """Radiant intensity (mW/sr) at off-axis cosine *cos_theta*.
+
+        *cos_theta* is the cosine between the boresight and the direction
+        towards the target; it is clipped to ``[0, 1]``, so nothing is
+        emitted behind the emitting hemisphere.
+        """
+        cos_theta = np.clip(cos_theta, 0.0, 1.0)
         return self.radiant_intensity_mw_sr * cos_theta ** self._exponent
 
     def irradiance_at(self,

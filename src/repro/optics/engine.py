@@ -17,13 +17,16 @@ gesture recording is a handful of numpy operations per (LED, PD) pair.
 For bulk workloads (campaign generation, training sweeps) the per-scene
 Python loop over (LED, patch, PD) triples dominates wall-clock, so
 :meth:`RadiometricEngine.photocurrents_batch_ua` evaluates *many* scenes at
-once: all patches of all scenes are stacked onto one concatenated row axis
-and each link-budget term is computed in a single numpy operation per
-(LED) or (PD).  The batched path applies exactly the same elementwise
-operations in exactly the same accumulation order as the scalar path, so
-its output is bit-identical to calling :meth:`photocurrents_ua` scene by
-scene (elementwise ufuncs do not depend on array length); the documented
-contract is agreement within ``1e-9``.
+once: all patches of all scenes are stacked onto one concatenated row axis,
+held as contiguous x/y/z columns, and each link-budget term is computed in
+a single numpy operation per (LED) or (PD).  Each leg's norm, unit vector
+and off-axis cosine are computed once and shared by the element's angular
+lobe (:meth:`NirLed.intensity_at`, :meth:`Photodiode.response_at`) and the
+shield (:meth:`Shield.transmission_at`).  The batched path applies exactly
+the same elementwise operations in exactly the same accumulation order as
+the scalar path, so its output is bit-identical to calling
+:meth:`photocurrents_ua` scene by scene (elementwise ufuncs do not depend
+on array length).
 """
 
 from __future__ import annotations
@@ -34,10 +37,29 @@ from typing import Sequence
 import numpy as np
 
 from repro.optics.array import SensorArray, SensorElement
-from repro.optics.geometry import batch_dot, normalize
+from repro.optics.geometry import _EPS, batch_dot, normalize
 from repro.optics.scene import ReflectivePatch, Scene
 
 __all__ = ["RadiometricEngine"]
+
+
+def _unit(x: np.ndarray, y: np.ndarray, z: np.ndarray
+          ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Norms and :func:`normalize` of the rows ``(x, y, z)``, bit for bit.
+
+    ``np.linalg.norm`` and :func:`batch_dot` reduce a length-3 last axis
+    with ``add.reduce``, which sums ``(v0 + v1) + v2``; the columns sum
+    in that order without the reduction's per-row overhead.
+    """
+    norm = np.sqrt((x * x + y * y) + z * z)
+    safe = np.where(norm < _EPS, 1.0, norm)
+    return norm, (x / safe, y / safe, z / safe)
+
+
+def _dot(a, b) -> np.ndarray:
+    """:func:`batch_dot` of column triples (or a column triple and a
+    3-vector), bit for bit."""
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
 @dataclass(frozen=True)
@@ -104,17 +126,16 @@ class RadiometricEngine:
 
         Equivalent to ``[self.photocurrents_ua(s) for s in scenes]`` but the
         (LED, patch, PD) link budgets of every scene are evaluated together
-        on one concatenated row axis, eliminating the per-scene Python loop
-        that dominates bulk generation.  Scenes may differ in length and in
-        patch count.
+        on contiguous x/y/z columns of one concatenated row axis,
+        eliminating the per-scene Python loop that dominates bulk
+        generation.  Scenes may differ in length and in patch count.
 
         Returns
         -------
         list of numpy.ndarray
-            One ``(T_i, n_channels)`` matrix per scene, matching the scalar
-            path within 1e-9 element-wise (bit-identical in practice: the
-            same elementwise operations are applied in the same
-            accumulation order).
+            One ``(T_i, n_channels)`` matrix per scene, bit-identical to
+            the scalar path: the same elementwise operations are applied
+            in the same accumulation order.
         """
         scenes = list(scenes)
         if not scenes:
@@ -124,94 +145,89 @@ class RadiometricEngine:
         shield = self.array.shield
         wavelength = leds[0].device.wavelength_nm
 
-        # Concatenated time axis over scenes: scene i owns rows
-        # [t_off[i], t_off[i] + T_i).
-        t_sizes = [s.n_samples for s in scenes]
-        t_off = np.concatenate([[0], np.cumsum(t_sizes)])
+        # Time axis: the scenes in descending patch count (stable), so the
+        # scenes that have a k-th patch own a prefix of it.  Row axis,
+        # patch-slot major: slot k stacks the k-th patch of each of those
+        # scenes in time-axis order, so its rows line up with that prefix.
+        order = sorted(range(len(scenes)),
+                       key=lambda i: -len(scenes[i].patches))
+        t_off = np.cumsum([0] + [scenes[i].n_samples for i in order])
         m_rows = int(t_off[-1])
-        ambient_cat = np.concatenate(
-            [np.asarray(s.ambient_mw_mm2, dtype=np.float64)
-             for s in scenes])
-
-        # Concatenated patch-row axis: one block of T_i rows per
-        # (scene, patch), in scene-major patch order (the scalar path's
-        # accumulation order).
-        blocks: list[tuple[int, int, int]] = []   # (scene_idx, start, n_t)
-        pos_parts: list[np.ndarray] = []
-        nrm_parts: list[np.ndarray] = []
-        area_parts: list[np.ndarray] = []
-        materials = []
-        row_cursor = 0
-        for si, scene in enumerate(scenes):
-            for patch in scene.patches:
-                blocks.append((si, row_cursor, scene.n_samples))
-                row_cursor += scene.n_samples
-                pos_parts.append(patch.positions_mm)
-                nrm_parts.append(patch.normals)
-                area_parts.append(np.asarray(patch.area_mm2,
-                                             dtype=np.float64))
-                materials.append(patch.material)
-        if pos_parts:
-            positions = np.concatenate(pos_parts)      # (N, 3)
-            normals = np.concatenate(nrm_parts)        # (N, 3)
-            areas = np.concatenate(area_parts)         # (N,)
+        patches: list[ReflectivePatch] = []
+        slot_rows: list[int] = []     # time-axis prefix each slot covers
+        for k in range(len(scenes[order[0]].patches)):
+            slot = [scenes[i].patches[k] for i in order
+                    if len(scenes[i].patches) > k]
+            patches.extend(slot)
+            slot_rows.append(int(t_off[len(slot)]))
+        if patches:
+            px, py, pz = np.concatenate(
+                [p.positions_mm for p in patches]).T.copy()
+            normals = np.concatenate([p.normals for p in patches]).T.copy()
+            areas = np.concatenate([p.area_mm2 for p in patches])
         else:
-            positions = np.zeros((0, 3))
-            normals = np.zeros((0, 3))
-            areas = np.zeros(0)
-        block_sizes = [n_t for _, _, n_t in blocks]
+            px = py = pz = areas = np.zeros(0)
+            normals = np.zeros((3, 0))
+        sizes = [p.n_samples for p in patches]
+        materials: dict = {}          # distinct material -> its index
+        material_ix = [materials.setdefault(p.material, len(materials))
+                       for p in patches]
 
         # --- LED -> patch legs, one vectorized pass per LED ----------------
         # rad_area[led] holds (radiance * patch_area) per row, i.e. the
-        # LED-dependent prefix of the scalar flux expression.
+        # LED-dependent prefix of the scalar flux expression.  The scalar
+        # path's -dir1 . normal is dir1 . -normal, bit for bit.
+        facing = -normals
         rad_area: list[np.ndarray] = []
         for led_elem in leds:
             led = led_elem.device
-            to_patch = positions - led_elem.position
-            r1 = np.linalg.norm(to_patch, axis=-1)
+            lx, ly, lz = led_elem.position
+            r1, dir1 = _unit(px - lx, py - ly, pz - lz)
             r1 = np.maximum(r1, self.near_field_clip_mm)
-            dir1 = normalize(to_patch)
-            intensity = led.intensity_towards(led_elem.axis_vector, dir1)
-            intensity = intensity * shield.transmission(
-                led_elem.axis_vector, -dir1)
-            cos_in = np.clip(batch_dot(-dir1, normals), 0.0, 1.0)
+            # intensity_towards normalizes dir1 again (not the identity in
+            # floating point); transmission's normalize(-dir1) is its
+            # negation, so lobe and shield read one cosine.
+            cos_led = _dot(_unit(*dir1)[1], normalize(led_elem.axis_vector))
+            intensity = (led.intensity_at(cos_led)
+                         * shield.transmission_at(cos_led))
+            cos_in = np.clip(_dot(dir1, facing), 0.0, 1.0)
             irradiance = intensity * cos_in / (r1 * r1)
-            rho = np.repeat(
-                np.array([m.reflectance(led.wavelength_nm)
-                          for m in materials], dtype=np.float64),
-                block_sizes) if blocks else np.zeros(0)
-            radiance = rho * irradiance / np.pi
+            rho = np.array([m.reflectance(led.wavelength_nm)
+                            for m in materials])
+            radiance = np.repeat(rho[material_ix], sizes) * irradiance / np.pi
             rad_area.append(radiance * areas)
 
+        ambient = np.concatenate([scenes[i].ambient_mw_mm2 for i in order])
         out_cat = np.zeros((m_rows, len(pds)), dtype=np.float64)
         acceptance = shield.ambient_acceptance()
         for j, pd_elem in enumerate(pds):
             pd = pd_elem.device
             # --- patch -> PD leg, one vectorized pass per PD ---------------
-            to_pd = pd_elem.position - positions
-            r2 = np.linalg.norm(to_pd, axis=-1)
+            qx, qy, qz = pd_elem.position
+            r2, dir2 = _unit(qx - px, qy - py, qz - pz)
             r2 = np.maximum(r2, self.near_field_clip_mm)
-            dir2 = normalize(to_pd)
-            cos_out = np.clip(batch_dot(dir2, normals), 0.0, 1.0)
-            gate = (pd.angular_response(pd_elem.axis_vector, dir2)
-                    * shield.transmission(pd_elem.axis_vector, dir2))
+            cos_out = np.clip(_dot(dir2, normals), 0.0, 1.0)
+            # angular_response and transmission both read
+            # -normalize(dir2) . axis, i.e. normalize(dir2) . -axis.
+            cos_pd = _dot(_unit(*dir2)[1], -normalize(pd_elem.axis_vector))
+            gate = pd.response_at(cos_pd) * shield.transmission_at(cos_pd)
             flux_per_led = [ra * cos_out * pd.active_area_mm2 * gate
                             / (r2 * r2) for ra in rad_area]
-            # Accumulate per scene in the scalar order: patches outer,
-            # LEDs inner — strict left-to-right float addition.
+            # Accumulate in the scalar order: patches outer, LEDs inner —
+            # strict left-to-right float addition from 0.0.
             total = np.zeros(m_rows, dtype=np.float64)
-            for si, start, n_t in blocks:
-                lo = int(t_off[si])
-                view = total[lo:lo + n_t]
+            start = 0
+            for rows in slot_rows:
                 for flux in flux_per_led:
-                    view += flux[start:start + n_t]
+                    total[:rows] += flux[start:start + rows]
+                start += rows
             col = pd.photocurrent_ua(total, wavelength_nm=wavelength)
             col += pd.photocurrent_ua(
-                ambient_cat * pd.active_area_mm2 * acceptance)
+                ambient * pd.active_area_mm2 * acceptance)
             col += self.crosstalk_ua * len(leds)
             out_cat[:, j] = col
-        return [out_cat[t_off[i]:t_off[i + 1]].copy()
-                for i in range(len(scenes))]
+        return [out_cat[t_off[at]:t_off[at + 1]].copy()
+                for at in np.argsort(order)]
 
     # ------------------------------------------------------------------
     # model terms

@@ -73,7 +73,15 @@ class Photodiode:
         """
         axis = normalize(np.asarray(axis, dtype=np.float64))
         incoming = normalize(np.atleast_2d(np.asarray(incoming, dtype=np.float64)))
-        cos_theta = np.clip(batch_dot(-incoming, axis), 0.0, 1.0)
+        return self.response_at(batch_dot(-incoming, axis))
+
+    def response_at(self, cos_theta: np.ndarray) -> np.ndarray:
+        """Relative sensitivity (0..1) at off-axis cosine *cos_theta*.
+
+        *cos_theta* is the cosine between the boresight and the reversed
+        arrival direction (``-incoming``); it is clipped to ``[0, 1]``.
+        """
+        cos_theta = np.clip(cos_theta, 0.0, 1.0)
         return cos_theta ** self._exponent
 
     def photocurrent_ua(self, flux_mw: np.ndarray | float,

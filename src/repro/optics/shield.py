@@ -55,7 +55,15 @@ class Shield:
         """
         axis = normalize(np.asarray(axis, dtype=np.float64))
         incoming = normalize(np.atleast_2d(np.asarray(incoming, dtype=np.float64)))
-        cos_theta = np.clip(batch_dot(-incoming, axis), -1.0, 1.0)
+        return self.transmission_at(batch_dot(-incoming, axis))
+
+    def transmission_at(self, cos_theta: np.ndarray) -> np.ndarray:
+        """Transmission factor (leakage..1) at off-axis cosine *cos_theta*.
+
+        *cos_theta* is the cosine between the boresight and the reversed
+        arrival direction (``-incoming``), as in :meth:`transmission`.
+        """
+        cos_theta = np.clip(cos_theta, -1.0, 1.0)
         theta_deg = np.degrees(np.arccos(cos_theta))
         if self.penumbra_deg == 0.0:
             open_frac = (theta_deg <= self.cutoff_deg).astype(np.float64)

@@ -3,7 +3,7 @@
 These scenes freeze the radiometric forward model: their scalar
 photocurrents are committed to ``fig3_waveforms.npz`` and every engine
 change must keep reproducing them (and the batched path must match the
-scalar path on them within 1e-9).  The set spans the axes the engine
+scalar path on them bit for bit).  The set spans the axes the engine
 branches on: different gestures (different patch kinematics), fixed
 sensing distances, a non-default ambient model, and a non-gesture
 trajectory.
@@ -68,16 +68,18 @@ def build_golden_scenes():
     config = CampaignConfig(n_users=3, n_sessions=1, repetitions=3,
                             seed=GOLDEN_SEED)
     generator = CampaignGenerator(config=config)
-    scenes = []
-    for name, task in GOLDEN_TASKS:
-        trajectory = generator._synthesize_task(task)
-        rng = derive_rng(config.seed, "capture", task.user_id,
-                        task.session_id, task.label, task.repetition,
-                        task.condition)
-        ambient = task.ambient or generator.ambient
-        irradiance = ambient.irradiance(trajectory.times_s, rng)
-        scene = scene_for_trajectory(trajectory,
-                                     generator.users[task.user_id],
-                                     ambient_mw_mm2=irradiance, rng=rng)
-        scenes.append((name, scene))
-    return generator, scenes
+    return generator, [(name, scene_for_task(generator, task))
+                       for name, task in GOLDEN_TASKS]
+
+
+def scene_for_task(generator: CampaignGenerator, task: CaptureTask):
+    """The optical scene *generator* captures for *task* (no wristband
+    sway), drawn from the task's own keyed streams."""
+    trajectory = generator._synthesize_task(task)
+    rng = derive_rng(generator.config.seed, "capture", task.user_id,
+                     task.session_id, task.label, task.repetition,
+                     task.condition)
+    ambient = task.ambient or generator.ambient
+    irradiance = ambient.irradiance(trajectory.times_s, rng)
+    return scene_for_trajectory(trajectory, generator.users[task.user_id],
+                                ambient_mw_mm2=irradiance, rng=rng)

@@ -8,7 +8,9 @@ called, kept verbatim as the reference that
 ``benchmarks/test_forest_fit.py`` hold today's
 :mod:`repro.ml.tree` to, bit for bit.  Only the imports, the subclass
 around the two methods, :func:`reference_trees` (a forest grows these
-trees inside it), :func:`tree_bytes` (what "the same tree" means) and
+trees inside it), :func:`tree_bytes` (what "the same tree" means),
+:func:`perf_training_plan` (the repo benchmark's training campaign, whose
+scenes ``benchmarks/test_optics_batch.py`` times too) and
 :func:`perf_training_set` (the matrix both check on) are new.
 """
 
@@ -156,21 +158,26 @@ def tree_bytes(tree: DecisionTreeClassifier) -> tuple[bytes, ...]:
             flat.counts.tobytes(), tree.feature_importances_.tobytes())
 
 
-def perf_training_set() -> tuple[np.ndarray, np.ndarray]:
-    """The full-registry features and labels the repo benchmark's
-    detector trains on: ``benchmarks/perf/harness.train_detector``'s
-    campaign (3 users x 1 session x 4 repetitions of the fixed
-    population under the ``perf-train`` condition), detect-aimed
-    segments only."""
+def perf_training_plan():
+    """``(generator, tasks)`` of ``benchmarks/perf/harness.train_detector``'s
+    campaign: 3 users x 1 session x 4 repetitions of the fixed
+    population under the ``perf-train`` condition."""
     perf = str(Path(__file__).resolve().parents[2] / "benchmarks" / "perf")
     if perf not in sys.path:
         sys.path.append(perf)
     import harness
 
     generator = harness.population(3)
-    tasks = [replace(task, condition=harness.TRAINING_CONDITION)
-             for task in generator.plan_main_campaign(
-                 users=range(3), sessions=[0], repetitions=4)]
+    return generator, [replace(task, condition=harness.TRAINING_CONDITION)
+                       for task in generator.plan_main_campaign(
+                           users=range(3), sessions=[0], repetitions=4)]
+
+
+def perf_training_set() -> tuple[np.ndarray, np.ndarray]:
+    """The full-registry features and labels the repo benchmark's
+    detector trains on: :func:`perf_training_plan`'s campaign,
+    detect-aimed segments only."""
+    generator, tasks = perf_training_plan()
     detect = generator.run_tasks(tasks).filter(
         lambda s: not s.is_track_aimed)
     return (FeatureExtractor.full().extract_many(detect.signals()),

@@ -7,8 +7,8 @@ Two locks, per the batching contract (``docs/API.md``):
   (``tests/golden/fig3_waveforms.npz``) exactly; any physics drift shows
   up as a golden diff, never silently;
 * **equivalence** — the batched :meth:`photocurrents_batch_ua` must match
-  the scalar path element-wise within 1e-9 on the same scenes (it is
-  bit-identical by construction), for every batch grouping.
+  the scalar path bit for bit on the same scenes, for every batch
+  grouping.
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ class TestBatchedEquivalence:
         batched = engine.photocurrents_batch_ua([s for _, s in scenes])
         for (name, scene), batch_out in zip(scenes, batched):
             scalar_out = engine.photocurrents_ua(scene)
-            diff = np.max(np.abs(batch_out - scalar_out))
-            assert diff <= 1e-9, f"{name}: max abs diff {diff:g}"
+            assert np.array_equal(batch_out, scalar_out), (
+                f"{name}: max abs diff "
+                f"{np.max(np.abs(batch_out - scalar_out)):g}")
 
     def test_batched_matches_committed_golden(self, golden):
         engine, scenes, committed = golden

@@ -66,12 +66,19 @@ def test_gain_on_nine_of_ten_pairs_beyond_the_base_iqr():
 
 
 def test_a_gain_inside_the_base_iqr_is_the_same():
-    # head wins every pair, by less than the base runs spread
-    base_head = [(100.0 + 10 * k, 101.0 + 10 * k) for k in range(10)]
+    # head wins every pair, by less than the base runs spread, which
+    # stays inside frames_per_cpu_s's 25% bound (100..118)
+    base_head = [(100.0 + 2 * k, 100.5 + 2 * k) for k in range(10)]
     row = _row(ab_pairs.summarize(_pairs(base_head), DECLARED),
                "frames_per_cpu_s")
     assert row["wins"] == 10
     assert row["verdict"] == "same"
+    # spread past the bound (100..190), the same kind of gain is unresolved
+    base_head = [(100.0 + 10 * k, 101.0 + 10 * k) for k in range(10)]
+    row = _row(ab_pairs.summarize(_pairs(base_head), DECLARED),
+               "frames_per_cpu_s")
+    assert row["wins"] == 10
+    assert row["verdict"] == "unresolved"
 
 
 def test_past_the_bound_is_worse_either_direction():
@@ -86,6 +93,38 @@ def test_past_the_bound_is_worse_either_direction():
     assert row["wins"] == 0 and row["verdict"] == "worse"
     text = ab_pairs.format_rows("fleet_idle", rows)
     assert "frames_per_cpu_s" in text and "worse" in text
+
+
+#: ``offline`` rss_mb (MiB) of 20 interleaved 25-s pairs, seeds 7500-7519,
+#: base abb2f6e against head 8e9e202 (the ledger's first 20-pair record)
+OFFLINE_RSS_BASE = (75.391, 80.855, 75.59, 75.387, 75.625, 86.535, 85.453,
+                    81.957, 83.312, 85.805, 75.582, 75.574, 75.527, 79.113,
+                    77.199, 82.211, 75.5, 75.488, 80.414, 83.508)
+OFFLINE_RSS_HEAD = (76.801, 77.242, 87.227, 87.434, 75.578, 82.285, 92.875,
+                    84.359, 89.422, 93.426, 77.18, 77.113, 75.367, 75.387,
+                    90.633, 87.652, 89.746, 77.887, 75.723, 75.941)
+
+
+def test_runs_spread_past_the_bound_are_unresolved():
+    pairs = [{"base": ab_pairs.parse_run(_stdout(1e5, 0.5, rss_mb=b)),
+              "head": ab_pairs.parse_run(_stdout(1e5, 0.5, rss_mb=h))}
+             for b, h in zip(OFFLINE_RSS_BASE, OFFLINE_RSS_HEAD)]
+    row = _row(ab_pairs.summarize(pairs, DECLARED), "rss_mb")
+    # base spans 75.4-86.5 MiB: 11.1 MiB against 10% of its 80.6 median;
+    # the median ratio alone (x1.025) would read as "same"
+    assert row["ratio"] < 1.1 and row["wins"] == 7
+    assert row["verdict"] == "unresolved"
+
+
+def test_a_wide_spread_separated_pair_set_is_judged():
+    # both sides spread 30% against rss_mb's 10% bound, but every head
+    # run is below every base run
+    base_head = [(100.0 + 3 * k, 60.0 + 2 * k) for k in range(10)]
+    pairs = [{"base": ab_pairs.parse_run(_stdout(1e5, 0.5, rss_mb=b)),
+              "head": ab_pairs.parse_run(_stdout(1e5, 0.5, rss_mb=h))}
+             for b, h in base_head]
+    row = _row(ab_pairs.summarize(pairs, DECLARED), "rss_mb")
+    assert row["verdict"] == "better"
 
 
 def test_ledger_records_one_ratio_per_metric(tmp_path):
