@@ -1,5 +1,7 @@
 """Property-based tests for geometry and the radiometric primitives."""
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,4 +98,16 @@ def test_shield_transmission_bounds(incoming):
 @given(nonzero_vectors, nonzero_vectors)
 @settings(max_examples=60, deadline=None)
 def test_batch_dot_matches_numpy(a, b):
-    np.testing.assert_allclose(batch_dot(a, b), np.dot(a, b), rtol=1e-9)
+    # np.dot is rounded too (OpenBLAS fuses its multiply-adds), so where the
+    # products cancel the two differ in the last bits of a near-zero result
+    # and no tolerance relative to that result can hold.  Both are held to
+    # the rounding bound of a three-term dot product about the exact value:
+    # gamma_3 * sum|a_i b_i|, plus an underflow allowance per product.
+    products = [Fraction(x) * Fraction(y) for x, y in zip(a, b)]
+    exact = sum(products)
+    unit = Fraction(1, 2**53)
+    bound = (3 * unit / (1 - 3 * unit) * sum(abs(p) for p in products)
+             + 3 * Fraction(2.0**-1074))
+    ours = Fraction(float(batch_dot(a, b)))
+    assert abs(ours - exact) <= bound
+    assert abs(ours - Fraction(float(np.dot(a, b)))) <= 2 * bound
