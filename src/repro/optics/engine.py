@@ -17,12 +17,15 @@ gesture recording is a handful of numpy operations per (LED, PD) pair.
 For bulk workloads (campaign generation, training sweeps) the per-scene
 Python loop over (LED, patch, PD) triples dominates wall-clock, so
 :meth:`RadiometricEngine.photocurrents_batch_ua` evaluates *many* scenes at
-once: all patches of all scenes are stacked onto one concatenated row axis,
-held as contiguous x/y/z columns, and each link-budget term is computed in
-a single numpy operation per (LED) or (PD).  Each leg's norm, unit vector
-and off-axis cosine are computed once and shared by the element's angular
-lobe (:meth:`NirLed.intensity_at`, :meth:`Photodiode.response_at`) and the
-shield (:meth:`Shield.transmission_at`).  The batched path applies exactly
+once, one patch slot at a time: the k-th patch of every scene that has one
+is stacked onto one row axis, held as contiguous x/y/z columns, and each
+link-budget term is computed in a single numpy operation per (slot, LED)
+or (slot, PD).  Working slot by slot bounds the pass's temporaries by the
+batch's time rows rather than by all its patch rows.  Each leg's norm,
+unit vector and off-axis cosine are computed once and shared by the
+element's angular lobe (:meth:`NirLed.intensity_at`,
+:meth:`Photodiode.response_at`) and the shield
+(:meth:`Shield.transmission_at`).  The batched path applies exactly
 the same elementwise operations in exactly the same accumulation order as
 the scalar path, so its output is bit-identical to calling
 :meth:`photocurrents_ua` scene by scene (elementwise ufuncs do not depend
@@ -125,10 +128,11 @@ class RadiometricEngine:
         """Photocurrent matrices for many scenes in stacked numpy operations.
 
         Equivalent to ``[self.photocurrents_ua(s) for s in scenes]`` but the
-        (LED, patch, PD) link budgets of every scene are evaluated together
-        on contiguous x/y/z columns of one concatenated row axis,
-        eliminating the per-scene Python loop that dominates bulk
-        generation.  Scenes may differ in length and in patch count.
+        (LED, patch, PD) link budgets of every scene are evaluated together,
+        one patch slot at a time, on contiguous x/y/z columns of a
+        concatenated row axis, eliminating the per-scene Python loop that
+        dominates bulk generation.  Scenes may differ in length and in
+        patch count.
 
         Returns
         -------
@@ -146,81 +150,49 @@ class RadiometricEngine:
         wavelength = leds[0].device.wavelength_nm
 
         # Time axis: the scenes in descending patch count (stable), so the
-        # scenes that have a k-th patch own a prefix of it.  Row axis,
-        # patch-slot major: slot k stacks the k-th patch of each of those
-        # scenes in time-axis order, so its rows line up with that prefix.
+        # scenes that have a k-th patch own a prefix of it.  Patch slot k
+        # stacks the k-th patch of each of those scenes in time-axis order,
+        # so its rows line up with that prefix.
         order = sorted(range(len(scenes)),
                        key=lambda i: -len(scenes[i].patches))
         t_off = np.cumsum([0] + [scenes[i].n_samples for i in order])
         m_rows = int(t_off[-1])
-        patches: list[ReflectivePatch] = []
-        slot_rows: list[int] = []     # time-axis prefix each slot covers
-        for k in range(len(scenes[order[0]].patches)):
-            slot = [scenes[i].patches[k] for i in order
-                    if len(scenes[i].patches) > k]
-            patches.extend(slot)
-            slot_rows.append(int(t_off[len(slot)]))
-        if patches:
-            px, py, pz = np.concatenate(
-                [p.positions_mm for p in patches]).T.copy()
-            normals = np.concatenate([p.normals for p in patches]).T.copy()
-            areas = np.concatenate([p.area_mm2 for p in patches])
-        else:
-            px = py = pz = areas = np.zeros(0)
-            normals = np.zeros((3, 0))
-        sizes = [p.n_samples for p in patches]
+        slots = [[scenes[i].patches[k] for i in order
+                  if len(scenes[i].patches) > k]
+                 for k in range(len(scenes[order[0]].patches))]
         materials: dict = {}          # distinct material -> its index
-        material_ix = [materials.setdefault(p.material, len(materials))
-                       for p in patches]
+        slot_ix = [[materials.setdefault(p.material, len(materials))
+                    for p in slot] for slot in slots]
+        # rho[led][m]: distinct material m's reflectance at the LED's
+        # wavelength
+        rho = [np.array([m.reflectance(e.device.wavelength_nm)
+                         for m in materials]) for e in leds]
 
-        # --- LED -> patch legs, one vectorized pass per LED ----------------
-        # rad_area[led] holds (radiance * patch_area) per row, i.e. the
-        # LED-dependent prefix of the scalar flux expression.  The scalar
-        # path's -dir1 . normal is dir1 . -normal, bit for bit.
-        facing = -normals
-        rad_area: list[np.ndarray] = []
-        for led_elem in leds:
-            led = led_elem.device
-            lx, ly, lz = led_elem.position
-            r1, dir1 = _unit(px - lx, py - ly, pz - lz)
-            r1 = np.maximum(r1, self.near_field_clip_mm)
-            # intensity_towards normalizes dir1 again (not the identity in
-            # floating point); transmission's normalize(-dir1) is its
-            # negation, so lobe and shield read one cosine.
-            cos_led = _dot(_unit(*dir1)[1], normalize(led_elem.axis_vector))
-            intensity = (led.intensity_at(cos_led)
-                         * shield.transmission_at(cos_led))
-            cos_in = np.clip(_dot(dir1, facing), 0.0, 1.0)
-            irradiance = intensity * cos_in / (r1 * r1)
-            rho = np.array([m.reflectance(led.wavelength_nm)
-                            for m in materials])
-            radiance = np.repeat(rho[material_ix], sizes) * irradiance / np.pi
-            rad_area.append(radiance * areas)
+        # One slot at a time, so the pass's temporaries span one slot's
+        # rows, never every patch row of the batch.  Each slot adds its
+        # flux over its prefix, LEDs inner: the scalar order (patches
+        # outer, LEDs inner, strict left-to-right addition from 0.0).
+        totals = np.zeros((len(pds), m_rows), dtype=np.float64)
+        for slot, ix in zip(slots, slot_ix):
+            rows = int(t_off[len(slot)])
+            points = np.concatenate([p.positions_mm for p in slot]).T.copy()
+            normals = np.concatenate([p.normals for p in slot]).T.copy()
+            areas = np.concatenate([p.area_mm2 for p in slot])
+            sizes = [p.n_samples for p in slot]
+            # rad_area[led] holds (radiance * patch_area) per row, i.e. the
+            # LED-dependent prefix of the scalar flux expression.
+            rad_area = [self._led_leg(led_elem, points, normals,
+                                      np.repeat(rho_led[ix], sizes)) * areas
+                        for led_elem, rho_led in zip(leds, rho)]
+            for total, pd_elem in zip(totals, pds):
+                for flux in self._pd_leg(pd_elem, points, normals, rad_area):
+                    total[:rows] += flux
 
         ambient = np.concatenate([scenes[i].ambient_mw_mm2 for i in order])
         out_cat = np.zeros((m_rows, len(pds)), dtype=np.float64)
         acceptance = shield.ambient_acceptance()
-        for j, pd_elem in enumerate(pds):
+        for j, (total, pd_elem) in enumerate(zip(totals, pds)):
             pd = pd_elem.device
-            # --- patch -> PD leg, one vectorized pass per PD ---------------
-            qx, qy, qz = pd_elem.position
-            r2, dir2 = _unit(qx - px, qy - py, qz - pz)
-            r2 = np.maximum(r2, self.near_field_clip_mm)
-            cos_out = np.clip(_dot(dir2, normals), 0.0, 1.0)
-            # angular_response and transmission both read
-            # -normalize(dir2) . axis, i.e. normalize(dir2) . -axis.
-            cos_pd = _dot(_unit(*dir2)[1], -normalize(pd_elem.axis_vector))
-            gate = pd.response_at(cos_pd) * shield.transmission_at(cos_pd)
-            flux_per_led = [ra * cos_out * pd.active_area_mm2 * gate
-                            / (r2 * r2) for ra in rad_area]
-            # Accumulate in the scalar order: patches outer, LEDs inner —
-            # strict left-to-right float addition from 0.0.
-            total = np.zeros(m_rows, dtype=np.float64)
-            start = 0
-            for rows in slot_rows:
-                for flux in flux_per_led:
-                    total[:rows] += flux[start:start + rows]
-                start += rows
             col = pd.photocurrent_ua(total, wavelength_nm=wavelength)
             col += pd.photocurrent_ua(
                 ambient * pd.active_area_mm2 * acceptance)
@@ -228,6 +200,48 @@ class RadiometricEngine:
             out_cat[:, j] = col
         return [out_cat[t_off[at]:t_off[at + 1]].copy()
                 for at in np.argsort(order)]
+
+    def _led_leg(self, led_elem: SensorElement, points: np.ndarray,
+                 normals: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """``rho * irradiance / pi`` per row: one LED -> patch leg.
+
+        *points* and *normals* are ``(3, n)`` x/y/z columns; *rho* holds
+        each row's reflectance at the LED's wavelength.
+        """
+        lx, ly, lz = led_elem.position
+        r1, dir1 = _unit(points[0] - lx, points[1] - ly, points[2] - lz)
+        r1 = np.maximum(r1, self.near_field_clip_mm)
+        # intensity_towards normalizes dir1 again (not the identity in
+        # floating point); transmission's normalize(-dir1) is its
+        # negation, so lobe and shield read one cosine.
+        cos_led = _dot(_unit(*dir1)[1], normalize(led_elem.axis_vector))
+        intensity = (led_elem.device.intensity_at(cos_led)
+                     * self.array.shield.transmission_at(cos_led))
+        # The scalar path's -dir1 . normal is dir1 . -normal, bit for bit.
+        cos_in = np.clip(_dot(dir1, -normals), 0.0, 1.0)
+        irradiance = intensity * cos_in / (r1 * r1)
+        return rho * irradiance / np.pi
+
+    def _pd_leg(self, pd_elem: SensorElement, points: np.ndarray,
+                normals: np.ndarray, rad_area: list[np.ndarray]
+                ) -> list[np.ndarray]:
+        """Flux (mW) per row reaching *pd_elem*, one array per LED.
+
+        *points* and *normals* are ``(3, n)`` x/y/z columns; *rad_area*
+        holds each LED's ``radiance * patch_area`` rows.
+        """
+        pd = pd_elem.device
+        qx, qy, qz = pd_elem.position
+        r2, dir2 = _unit(qx - points[0], qy - points[1], qz - points[2])
+        r2 = np.maximum(r2, self.near_field_clip_mm)
+        cos_out = np.clip(_dot(dir2, normals), 0.0, 1.0)
+        # angular_response and transmission both read
+        # -normalize(dir2) . axis, i.e. normalize(dir2) . -axis.
+        cos_pd = _dot(_unit(*dir2)[1], -normalize(pd_elem.axis_vector))
+        gate = pd.response_at(cos_pd) * self.array.shield.transmission_at(
+            cos_pd)
+        return [ra * cos_out * pd.active_area_mm2 * gate / (r2 * r2)
+                for ra in rad_area]
 
     # ------------------------------------------------------------------
     # model terms

@@ -1,5 +1,7 @@
 """Unit tests for the radiometric forward model (scene + engine)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,29 @@ class TestEngine:
     def test_validation(self):
         with pytest.raises(ValueError):
             RadiometricEngine(array=airfinger_array(), crosstalk_ua=-1.0)
+
+    def test_batch_temporaries_span_one_patch_slot(self, engine):
+        # The batched pass works one patch slot at a time, so its traced
+        # peak is a few dozen columns of the batch's time rows whatever the
+        # patch count; stacking all 12 slots' rows at once peaked above 400.
+        rng = np.random.default_rng(5)
+        n, n_scenes, n_patches = 200, 16, 12
+        times = np.arange(n) / 100.0
+        scenes = [Scene(times_s=times, patches=[
+            ReflectivePatch(f"p{k}", rng.normal([0.0, 0.0, 20.0], 5.0,
+                                                (n, 3)),
+                            normals=np.array([0.0, 0.0, -1.0]),
+                            area_mm2=10.0, material=SKIN)
+            for k in range(n_patches)]) for _ in range(n_scenes)]
+        column = n * n_scenes * np.dtype(np.float64).itemsize
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            engine.photocurrents_batch_ua(scenes)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 64 * column, f"peak {peak / column:.0f} columns"
